@@ -120,7 +120,7 @@ fn run_engine_raw(opts: &RunOpts) -> Result<AnalysisResult, String> {
         save_cache(&mut engine, opts, dir)?;
     }
     finish_events(&engine, &events);
-    append_perf(opts, &result, None)?;
+    append_perf(opts, &result, None, engine.last_save())?;
     Ok(result)
 }
 
@@ -164,17 +164,20 @@ fn append_history(
     }
 }
 
-/// Append the run's timing profile to the perf ledger (next to the
-/// history ledger, same `--history-dir` / `--no-history` policy).
+/// Append the run's timing profile, with the cache save that followed
+/// it, to the perf ledger (next to the history ledger, same
+/// `--history-dir` / `--no-history` policy).
 fn append_perf(
     opts: &RunOpts,
     result: &AnalysisResult,
     iteration_us: Option<u64>,
+    cache_save: Option<ofence::cache::SaveStats>,
 ) -> Result<(), String> {
     let Some(dir) = history_dir_of(opts) else {
         return Ok(());
     };
-    let record = ofence::perf::record_of(result, &opts.config, iteration_us);
+    let mut record = ofence::perf::record_of(result, &opts.config, iteration_us);
+    record.cache_save = cache_save;
     match ofence::perf::append(&dir, &record) {
         Ok(()) => Ok(()),
         Err(e) if opts.history_dir.is_some() => Err(format!("--history-dir: {e}")),
@@ -298,7 +301,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
             serde_json::to_string_pretty(&result.to_json()).unwrap()
         );
     } else {
-        println!("{}", result.stats.render());
+        println!("{}{}", result.stats.render(), result.run_stats.render());
         if !result.pairing.pairings.is_empty() {
             println!("pairings:");
             for p in &result.pairing.pairings {
@@ -693,7 +696,7 @@ fn stats(opts: RunOpts) -> Result<ExitCode, String> {
     if opts.json {
         println!("{}", serde_json::to_string_pretty(&result.stats).unwrap());
     } else {
-        println!("{}", result.stats.render());
+        println!("{}{}", result.stats.render(), result.run_stats.render());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -823,7 +826,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
             .with_histogram("iteration_duration_us", iteration_hist.clone());
         write_observability(&opts.run, &result)?;
         append_history(&opts.run, &result, &records)?;
-        append_perf(&opts.run, &result, Some(iteration_us))?;
+        append_perf(&opts.run, &result, Some(iteration_us), engine.last_save())?;
         live.publish(&result.obs, records.len() as u64, iteration_us);
         // Flush the event stream at every iteration boundary, so a
         // consumer tailing `--events-out` (or a watch session that gets

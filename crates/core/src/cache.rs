@@ -22,13 +22,27 @@
 //! }
 //! ```
 //!
-//! Sharding buys two things on monorepo-scale corpora: shards are
+//! Sharding buys three things on monorepo-scale corpora: shards are
 //! written and loaded **in parallel** (serialization of a 100k-file
 //! cache is the save-path bottleneck, and JSON encoding cost grows
-//! superlinearly with single-document size), and corruption is
+//! superlinearly with single-document size), corruption is
 //! **isolated** — a truncated or hand-edited shard only drops its own
 //! entries (they become cold misses) instead of poisoning the whole
-//! cache.
+//! cache — and a save rewrites only the shards that changed.
+//!
+//! ## Dirty shards
+//!
+//! A [`DirtyShards`] tracker (one per engine) records which shards may
+//! differ from the directory the engine last loaded from or saved to.
+//! A shard is dirty when the engine inserted, replaced or evicted an
+//! entry in it, when it was absent, corrupt or stale at load, or when
+//! the save goes to another directory. Before saving, every clean shard
+//! is also checked with a `stat` against the size, mtime and inode the
+//! engine last read or wrote: a shard deleted, truncated or replaced
+//! under a long-lived engine is rewritten too. The save writes only
+//! dirty shards, so a no-op run writes none and a one-file edit writes
+//! one; each write still goes to a temporary file that is renamed into
+//! place, so a crashed writer never leaves a truncated shard behind.
 //!
 //! ## Invalidation rules
 //!
@@ -57,7 +71,9 @@
 //! synthesis) reaches a function only through a barrier site in the same
 //! file, and the missing-barrier detector re-lowers from source. This
 //! keeps warm loads cheap on realistic trees, where most files have no
-//! barriers at all.
+//! barriers at all. Function summaries exist only when the
+//! inter-procedural pass is on (`ipa_depth > 0`), so depth-0 caches
+//! carry none.
 
 use crate::config::AnalysisConfig;
 use crate::ir::BarrierSite;
@@ -66,8 +82,11 @@ use ckit::ast::{FunctionDef, FunctionSig, Type};
 use ckit::span::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Instant, SystemTime};
 
 /// Bump on any change to the serialized cache shape.
 /// v3: sharded container (`shard-NN.json` per path-hash bucket) replaced
@@ -77,10 +96,6 @@ pub const CACHE_FORMAT_VERSION: u32 = 3;
 /// Number of shard files the cache is split into. Path-hash modulo; a
 /// power of two so the bucket spread is uniform under FNV.
 pub const SHARD_COUNT: usize = 16;
-
-/// Per-shard load result: `None` = file absent, `Ok` = decoded entries,
-/// `Err` = corruption/version reason.
-type ShardOutcome = std::sync::Mutex<Option<Result<Vec<CacheEntry>, String>>>;
 
 /// Legacy (format < 3) monolithic cache file name, recognized only to
 /// report a clean "stale cache" outcome instead of "missing".
@@ -304,6 +319,105 @@ fn encode_doc(mut entries: Vec<CacheEntry>, fp: u64) -> String {
     serde_json::to_string(&doc).expect("cache serializes")
 }
 
+/// What a `stat` of a shard file shows: enough to notice that another
+/// writer replaced (new inode), truncated or rewrote it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Stamp {
+    len: u64,
+    modified: Option<SystemTime>,
+    inode: u64,
+}
+
+impl Stamp {
+    fn of(meta: &std::fs::Metadata) -> Stamp {
+        #[cfg(unix)]
+        let inode = std::os::unix::fs::MetadataExt::ino(meta);
+        #[cfg(not(unix))]
+        let inode = 0;
+        Stamp {
+            len: meta.len(),
+            modified: meta.modified().ok(),
+            inode,
+        }
+    }
+}
+
+/// Which shards may differ from the cache directory an engine last
+/// loaded from or saved to (see the module docs). A fresh tracker refers
+/// to no directory, so its first save writes every shard.
+#[derive(Debug)]
+pub(crate) struct DirtyShards {
+    dir: Option<PathBuf>,
+    dirty: [bool; SHARD_COUNT],
+    /// For each clean shard, its file's stamp when last read or written.
+    stamps: [Option<Stamp>; SHARD_COUNT],
+}
+
+impl Default for DirtyShards {
+    fn default() -> Self {
+        DirtyShards {
+            dir: None,
+            dirty: [true; SHARD_COUNT],
+            stamps: [None; SHARD_COUNT],
+        }
+    }
+}
+
+impl DirtyShards {
+    /// Record that the entry for `path` was inserted, replaced or
+    /// evicted in memory.
+    pub(crate) fn mark(&mut self, path: &str) {
+        self.dirty[shard_of(path)] = true;
+    }
+
+    /// Start over against `dir`: every shard dirty until read or written.
+    fn reset(&mut self, dir: &Path) {
+        *self = DirtyShards {
+            dir: Some(dir.to_path_buf()),
+            ..DirtyShards::default()
+        };
+    }
+}
+
+/// What one cache save wrote.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SaveStats {
+    /// Shard files rewritten: 0 for a no-op run, 1 for a one-file edit.
+    pub shards_written: u64,
+    /// Bytes written across those shards.
+    pub bytes: u64,
+    /// Wall time of the whole save, in microseconds.
+    pub us: u64,
+}
+
+/// Run `job` for every shard index in `shards` on up to
+/// [`shard_workers`] threads; results come back in `shards` order.
+/// Encoding and decoding are allocation-heavy, so the worker count is
+/// bounded by the core count: more threads than cores just serialize on
+/// the allocator (measured 5-8x slower at 16 threads on one core).
+fn per_shard<T: Send>(shards: &[usize], job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let slots: Vec<Mutex<Option<T>>> = shards.iter().map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..shard_workers().min(shards.len()) {
+            scope.spawn(|| loop {
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&i) = shards.get(k) else { return };
+                let out = job(i);
+                *slots[k].lock().expect("shard slot: jobs do not panic") = Some(out);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|m| {
+            m.into_inner()
+                .expect("shard slot: jobs do not panic")
+                .expect("every shard ran")
+        })
+        .collect()
+}
+
 /// Load the cache from `dir`. Never fails: stale or corrupt shards are
 /// dropped (reported in the outcome only when *nothing* was usable) and
 /// treated as empty. Shards are read and decoded in parallel.
@@ -311,44 +425,42 @@ pub fn load(
     dir: &Path,
     config: &AnalysisConfig,
 ) -> (HashMap<String, (u64, Arc<FileAnalysis>)>, LoadOutcome) {
+    load_tracked(dir, config, &mut DirtyShards::default())
+}
+
+/// [`load`], resetting `shards` to `dir`: a shard that decoded cleanly
+/// is clean (with its file's stamp), an absent, corrupt or stale one is
+/// dirty.
+pub(crate) fn load_tracked(
+    dir: &Path,
+    config: &AnalysisConfig,
+    shards: &mut DirtyShards,
+) -> (HashMap<String, (u64, Arc<FileAnalysis>)>, LoadOutcome) {
     let fp = config_fingerprint(config);
-    // Per-shard results: None = file absent, Ok = decoded, Err = reason.
-    // Decoding is allocation-heavy, so the worker count is bounded by
-    // the core count: more threads than cores just serialize on the
-    // allocator (measured 5-8x slower at 16 threads on one core).
-    let outcomes: Vec<ShardOutcome> = (0..SHARD_COUNT)
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..shard_workers() {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= SHARD_COUNT {
-                    return;
-                }
-                let path = dir.join(shard_file_name(i));
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                *outcomes[i].lock().expect("shard slot") = Some(decode_shard(&text, fp));
-            });
-        }
+    let all: Vec<usize> = (0..SHARD_COUNT).collect();
+    // Per shard: None = file absent, Ok = decoded entries and the stamp
+    // of the file they came from, Err = corruption/version reason.
+    let outcomes = per_shard(&all, |i| {
+        let mut file = std::fs::File::open(dir.join(shard_file_name(i))).ok()?;
+        // Stamp the handle that is read: a writer that replaces the file
+        // meanwhile leaves a stamp the next save no longer matches.
+        let stamp = Stamp::of(&file.metadata().ok()?);
+        let mut text = String::new();
+        file.read_to_string(&mut text).ok()?;
+        Some(decode_shard(&text, fp).map(|entries| (entries, stamp)))
     });
-    let outcomes: Vec<_> = outcomes
-        .into_iter()
-        .map(|m| m.into_inner().expect("shard slot"))
-        .collect();
+    shards.reset(dir);
     let mut map = HashMap::new();
     let mut entries = 0usize;
     let mut present = 0usize;
     let mut first_reason: Option<String> = None;
-    for outcome in outcomes {
+    for (i, outcome) in outcomes.into_iter().enumerate() {
         let Some(result) = outcome else { continue };
         present += 1;
         match result {
-            Ok(shard_entries) => {
+            Ok((shard_entries, stamp)) => {
+                shards.dirty[i] = false;
+                shards.stamps[i] = Some(stamp);
                 entries += shard_entries.len();
                 for e in shard_entries {
                     map.insert(e.path, (e.hash, Arc::new(e.analysis.into_analysis())));
@@ -382,71 +494,104 @@ pub fn load(
     }
 }
 
-/// Write the cache to `dir` (created if needed). Every shard is written
-/// in parallel, each to a temporary file first and renamed, so a crashed
-/// writer never leaves a truncated shard behind. All [`SHARD_COUNT`]
-/// shards are always (re)written — an entry that moved out of a shard
-/// can never linger in a stale file.
+/// Write the whole cache to `dir` (created if needed), every shard in
+/// parallel. Returns the number of entries written.
 pub fn save(
     dir: &Path,
     config: &AnalysisConfig,
     cache: &HashMap<String, (u64, Arc<FileAnalysis>)>,
 ) -> Result<usize, String> {
+    save_dirty(dir, config, cache, &mut DirtyShards::default())?;
+    Ok(cache.len())
+}
+
+/// Write the shards of `cache` that `shards` marks dirty to `dir`, plus
+/// any clean shard whose file changed on disk since it was read or
+/// written; everything when `dir` is not the directory `shards` refers
+/// to. Each shard goes to a temporary file first and is renamed, so a
+/// crashed writer never leaves a truncated shard behind. Shards written
+/// become clean; on error the failed ones stay dirty.
+pub(crate) fn save_dirty(
+    dir: &Path,
+    config: &AnalysisConfig,
+    cache: &HashMap<String, (u64, Arc<FileAnalysis>)>,
+    shards: &mut DirtyShards,
+) -> Result<SaveStats, String> {
+    let t0 = Instant::now();
     std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let fp = config_fingerprint(config);
-    let mut shards: Vec<Vec<CacheEntry>> = (0..SHARD_COUNT).map(|_| Vec::new()).collect();
-    let mut n = 0usize;
-    for (path, (hash, fa)) in cache {
-        shards[shard_of(path)].push(CacheEntry {
-            path: path.clone(),
-            hash: *hash,
-            analysis: CachedFile::from_analysis(fa),
-        });
-        n += 1;
+    if shards.dir.as_deref() != Some(dir) {
+        shards.reset(dir);
     }
-    // Same bounded-worker rule as `load`: encoding builds large value
-    // trees, and oversubscribing the allocator is slower than queueing.
-    let shards: Vec<std::sync::Mutex<Option<Vec<CacheEntry>>>> = shards
-        .into_iter()
-        .map(|v| std::sync::Mutex::new(Some(v)))
-        .collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let errors = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..shard_workers() {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= SHARD_COUNT {
-                    return;
-                }
-                let entries = shards[i]
-                    .lock()
-                    .expect("shard slot")
-                    .take()
-                    .expect("taken once");
-                let text = encode_doc(entries, fp);
-                let name = shard_file_name(i);
-                let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
-                let path = dir.join(&name);
-                let result = std::fs::write(&tmp, text)
-                    .map_err(|e| format!("{}: {e}", tmp.display()))
-                    .and_then(|()| {
-                        std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))
-                    });
-                if let Err(e) = result {
-                    errors.lock().expect("error list").push(e);
-                }
-            });
+    for i in 0..SHARD_COUNT {
+        if !shards.dirty[i] {
+            let now = std::fs::metadata(dir.join(shard_file_name(i)))
+                .ok()
+                .map(|m| Stamp::of(&m));
+            shards.dirty[i] = now != shards.stamps[i];
         }
+    }
+    let todo: Vec<usize> = (0..SHARD_COUNT).filter(|&i| shards.dirty[i]).collect();
+    let mut groups: Vec<Mutex<Vec<CacheEntry>>> =
+        (0..SHARD_COUNT).map(|_| Mutex::new(Vec::new())).collect();
+    for (path, (hash, fa)) in cache {
+        let i = shard_of(path);
+        if shards.dirty[i] {
+            groups[i]
+                .get_mut()
+                .expect("shard group: not shared yet")
+                .push(CacheEntry {
+                    path: path.clone(),
+                    hash: *hash,
+                    analysis: CachedFile::from_analysis(fa),
+                });
+        }
+    }
+    let fp = config_fingerprint(config);
+    let results = per_shard(&todo, |i| {
+        let entries =
+            std::mem::take(&mut *groups[i].lock().expect("shard group: jobs do not panic"));
+        write_shard(dir, i, &encode_doc(entries, fp))
     });
-    let errors = errors.into_inner().expect("error list");
-    if let Some(e) = errors.into_iter().next() {
+    let mut stats = SaveStats::default();
+    let mut first_error = None;
+    for (&i, result) in todo.iter().zip(results) {
+        match result {
+            Ok(stamp) => {
+                shards.dirty[i] = false;
+                shards.stamps[i] = Some(stamp);
+                stats.shards_written += 1;
+                stats.bytes += stamp.len;
+            }
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        }
+    }
+    if let Some(e) = first_error {
         return Err(e);
     }
     // Drop a leftover pre-v3 monolithic file so it can't shadow the
     // sharded cache in external tooling.
     let _ = std::fs::remove_file(dir.join(CACHE_FILE_NAME));
-    Ok(n)
+    stats.us = t0.elapsed().as_micros() as u64;
+    Ok(stats)
+}
+
+/// Write shard `i` through a temporary file and rename it into place.
+/// Returns the stamp of the written file (the rename keeps its inode,
+/// size and mtime).
+fn write_shard(dir: &Path, i: usize, text: &str) -> Result<Stamp, String> {
+    let name = shard_file_name(i);
+    let tmp = dir.join(format!("{name}.tmp.{}", std::process::id()));
+    let path = dir.join(&name);
+    let meta = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(text.as_bytes())?;
+            f.metadata()
+        })
+        .map_err(|e| format!("{}: {e}", tmp.display()))?;
+    std::fs::rename(&tmp, &path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(Stamp::of(&meta))
 }
 
 #[cfg(test)]
@@ -741,6 +886,182 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             LoadOutcome::Discarded { reason } => assert!(reason.contains("configuration")),
             other => panic!("{other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every shard file's stamp (inode, size, mtime), `None` if absent.
+    fn disk_stamps(dir: &Path) -> Vec<Option<Stamp>> {
+        (0..SHARD_COUNT)
+            .map(|i| {
+                std::fs::metadata(dir.join(shard_file_name(i)))
+                    .ok()
+                    .map(|m| Stamp::of(&m))
+            })
+            .collect()
+    }
+
+    /// Indices of the shards whose file differs between two stamp sets.
+    fn changed(before: &[Option<Stamp>], after: &[Option<Stamp>]) -> Vec<usize> {
+        (0..SHARD_COUNT)
+            .filter(|&i| before[i] != after[i])
+            .collect()
+    }
+
+    /// A cold engine's cache saved to a fresh `dir`, and a warm engine
+    /// loaded from it (the CLI's warm-run shape).
+    fn warm_engine(tag: &str) -> (std::path::PathBuf, Engine) {
+        let dir = tempdir(tag);
+        let config = AnalysisConfig::default();
+        let mut cold = Engine::new(config.clone());
+        cold.analyze(&demo_files());
+        cold.save_disk_cache(&dir).unwrap();
+        assert_eq!(cold.last_save().unwrap().shards_written, SHARD_COUNT as u64);
+        let mut warm = Engine::new(config);
+        assert_eq!(
+            warm.load_disk_cache(&dir),
+            LoadOutcome::Loaded { entries: 2 }
+        );
+        (dir, warm)
+    }
+
+    /// The `k`th shard index holding neither demo file's entry.
+    fn empty_shard(k: usize) -> usize {
+        (0..SHARD_COUNT)
+            .filter(|&i| i != shard_of("m.c") && i != shard_of("plain.c"))
+            .nth(k)
+            .unwrap()
+    }
+
+    #[test]
+    fn noop_warm_run_rewrites_no_shard() {
+        let (dir, mut warm) = warm_engine("dirty-noop");
+        let before = disk_stamps(&dir);
+        warm.analyze(&demo_files());
+        assert_eq!(warm.save_disk_cache(&dir).unwrap(), 2);
+        let saved = warm.last_save().unwrap();
+        assert_eq!((saved.shards_written, saved.bytes), (0, 0));
+        assert_eq!(changed(&before, &disk_stamps(&dir)), Vec::<usize>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_file_edit_rewrites_exactly_its_shard() {
+        let (dir, mut warm) = warm_engine("dirty-edit");
+        let before = disk_stamps(&dir);
+        let mut files = demo_files();
+        files[0].content =
+            format!("{}\nint edited(void) {{ return 1; }}\n", files[0].content).into();
+        warm.analyze(&files);
+        warm.save_disk_cache(&dir).unwrap();
+        assert_eq!(warm.last_save().unwrap().shards_written, 1);
+        assert_eq!(changed(&before, &disk_stamps(&dir)), vec![shard_of("m.c")]);
+        // The rewritten shard serves the edit: a fresh engine hits both.
+        let mut next = Engine::new(AnalysisConfig::default());
+        next.load_disk_cache(&dir);
+        assert_eq!(next.analyze(&files).obs.count_of("engine_cache_hits"), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deleted_file_shard_is_rewritten_without_it() {
+        let (dir, mut warm) = warm_engine("dirty-delete");
+        let before = disk_stamps(&dir);
+        let mut files = demo_files();
+        files.retain(|f| f.name != "plain.c");
+        warm.analyze(&files);
+        warm.save_disk_cache(&dir).unwrap();
+        assert_eq!(
+            changed(&before, &disk_stamps(&dir)),
+            vec![shard_of("plain.c")]
+        );
+        let (map, outcome) = load(&dir, &AnalysisConfig::default());
+        assert_eq!(outcome, LoadOutcome::Loaded { entries: 1 });
+        assert!(!map.contains_key("plain.c"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard that was corrupt, missing or written under another config
+    /// when the engine loaded is rewritten at the next save, even though
+    /// the run changed no entry in it.
+    #[test]
+    fn bad_shards_at_load_are_rewritten() {
+        let dir = tempdir("dirty-bad-load");
+        let config = AnalysisConfig::default();
+        let mut cold = Engine::new(config.clone());
+        cold.analyze(&demo_files());
+        cold.save_disk_cache(&dir).unwrap();
+        let other_dir = tempdir("dirty-bad-load-other");
+        let other = AnalysisConfig {
+            write_window: 9,
+            ..Default::default()
+        };
+        save(&other_dir, &other, &HashMap::new()).unwrap();
+        let (corrupt, missing, stale) = (empty_shard(0), empty_shard(1), empty_shard(2));
+        std::fs::write(dir.join(shard_file_name(corrupt)), "{ truncated").unwrap();
+        std::fs::remove_file(dir.join(shard_file_name(missing))).unwrap();
+        std::fs::copy(
+            other_dir.join(shard_file_name(stale)),
+            dir.join(shard_file_name(stale)),
+        )
+        .unwrap();
+
+        let mut warm = Engine::new(config.clone());
+        warm.load_disk_cache(&dir);
+        let before = disk_stamps(&dir);
+        warm.analyze(&demo_files());
+        warm.save_disk_cache(&dir).unwrap();
+        let mut rewritten = changed(&before, &disk_stamps(&dir));
+        rewritten.sort_unstable();
+        let mut expected = vec![corrupt, missing, stale];
+        expected.sort_unstable();
+        assert_eq!(rewritten, expected);
+        // Every shard decodes under the current config again.
+        let mut tracker = DirtyShards::default();
+        let (_, outcome) = load_tracked(&dir, &config, &mut tracker);
+        assert_eq!(outcome, LoadOutcome::Loaded { entries: 2 });
+        assert!(tracker.dirty.iter().all(|d| !d), "{tracker:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other_dir);
+    }
+
+    #[test]
+    fn save_to_another_directory_writes_every_shard() {
+        let (dir, mut warm) = warm_engine("dirty-move");
+        warm.analyze(&demo_files());
+        let elsewhere = tempdir("dirty-move-elsewhere");
+        warm.save_disk_cache(&elsewhere).unwrap();
+        assert_eq!(warm.last_save().unwrap().shards_written, SHARD_COUNT as u64);
+        assert!(disk_stamps(&elsewhere).iter().all(Option::is_some));
+        let (_, outcome) = load(&elsewhere, &AnalysisConfig::default());
+        assert_eq!(outcome, LoadOutcome::Loaded { entries: 2 });
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&elsewhere);
+    }
+
+    /// A long-lived engine (the daemon's) notices a shard deleted or
+    /// truncated under it and rewrites it at its next save.
+    #[test]
+    fn shard_changed_under_live_engine_is_rewritten() {
+        let dir = tempdir("dirty-live");
+        let mut live = Engine::new(AnalysisConfig::default());
+        live.analyze(&demo_files());
+        live.save_disk_cache(&dir).unwrap();
+        let deleted = empty_shard(0);
+        std::fs::remove_file(dir.join(shard_file_name(deleted))).unwrap();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(shard_path(&dir, "m.c"))
+            .unwrap()
+            .set_len(3)
+            .unwrap();
+
+        live.analyze(&demo_files());
+        live.save_disk_cache(&dir).unwrap();
+        assert_eq!(live.last_save().unwrap().shards_written, 2);
+        let (map, outcome) = load(&dir, &AnalysisConfig::default());
+        assert_eq!(outcome, LoadOutcome::Loaded { entries: 2 });
+        assert!(map.contains_key("m.c"));
+        assert!(dir.join(shard_file_name(deleted)).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

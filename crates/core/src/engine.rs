@@ -12,7 +12,7 @@ use crate::deviation::{check_all_traced, Deviation};
 use crate::ir::*;
 use crate::pairing::{pair_barriers_traced, PairingResult};
 use crate::patch::{synthesize, Patch};
-use crate::report::{DistanceHistogram, Stats};
+use crate::report::{DistanceHistogram, RunStats, Stats};
 use crate::sites::{analyze_file_traced, FileAnalysis};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -54,6 +54,9 @@ pub struct AnalysisResult {
     pub annotations: Vec<Deviation>,
     pub annotation_patches: Vec<Patch>,
     pub stats: Stats,
+    /// Scheduling and cache-I/O accounting of this run; varies between
+    /// runs of the same input, unlike everything above.
+    pub run_stats: RunStats,
     /// Observability snapshot of this run: phase spans with per-file
     /// attribution, decision counters, histograms. Feeds `--trace-out`
     /// (Chrome tracing) and `--metrics-out` (Prometheus text).
@@ -113,6 +116,11 @@ pub struct Engine {
     /// Entries are `Arc`-shared with run results, so a warm hit is a
     /// refcount bump instead of a deep `FileAnalysis` clone.
     cache: HashMap<String, (u64, Arc<FileAnalysis>)>,
+    /// Which disk-cache shards `cache` may differ in from the directory
+    /// last loaded or saved, so a save rewrites only those.
+    shards: crate::cache::DirtyShards,
+    /// What the last successful disk-cache save wrote.
+    last_save: Option<crate::cache::SaveStats>,
     /// Observability recorder, reset at the start of every run so spans
     /// and counters are per-run (never cumulative across incremental
     /// re-analyses).
@@ -132,6 +140,8 @@ impl Engine {
         Engine {
             config,
             cache: HashMap::new(),
+            shards: Default::default(),
+            last_save: None,
             recorder: obs::Recorder::new(),
             pending_counts: Vec::new(),
             slow_files: DEFAULT_SLOW_FILES,
@@ -155,7 +165,7 @@ impl Engine {
     /// counters.
     pub fn load_disk_cache(&mut self, dir: &std::path::Path) -> crate::cache::LoadOutcome {
         let t0 = std::time::Instant::now();
-        let (entries, outcome) = crate::cache::load(dir, &self.config);
+        let (entries, outcome) = crate::cache::load_tracked(dir, &self.config, &mut self.shards);
         self.pending_counts
             .push(("shard_load_us".to_string(), t0.elapsed().as_micros() as u64));
         self.pending_counts
@@ -163,21 +173,36 @@ impl Engine {
         if matches!(outcome, crate::cache::LoadOutcome::Discarded { .. }) {
             self.pending_counts.push(("cache_discarded".to_string(), 1));
         }
+        // Entries already in memory make their shards differ from disk.
+        for path in self.cache.keys() {
+            self.shards.mark(path);
+        }
         self.cache.extend(entries);
         outcome
     }
 
-    /// Flush the incremental cache to `dir`, creating it if needed.
-    /// Returns the number of entries written. The wall time spent
-    /// writing shards is queued as `shard_save_us` for the *next* run's
-    /// snapshot (a save happens after the current run's snapshot is
-    /// already taken).
+    /// Flush the incremental cache to `dir`, creating it if needed, by
+    /// rewriting only the shards that changed since the last load or
+    /// save (every shard when `dir` is a new directory). Returns the
+    /// number of entries the directory now holds. The wall time and the
+    /// shards written are queued as `shard_save_us` and
+    /// `cache_shards_written` for the *next* run's snapshot (a save
+    /// happens after the current run's snapshot is already taken), and
+    /// kept in [`Engine::last_save`].
     pub fn save_disk_cache(&mut self, dir: &std::path::Path) -> Result<usize, String> {
-        let t0 = std::time::Instant::now();
-        let n = crate::cache::save(dir, &self.config, &self.cache)?;
+        self.last_save = None;
+        let saved = crate::cache::save_dirty(dir, &self.config, &self.cache, &mut self.shards)?;
         self.pending_counts
-            .push(("shard_save_us".to_string(), t0.elapsed().as_micros() as u64));
-        Ok(n)
+            .push(("shard_save_us".to_string(), saved.us));
+        self.pending_counts
+            .push(("cache_shards_written".to_string(), saved.shards_written));
+        self.last_save = Some(saved);
+        Ok(self.cache.len())
+    }
+
+    /// What the last successful [`Engine::save_disk_cache`] wrote.
+    pub fn last_save(&self) -> Option<crate::cache::SaveStats> {
+        self.last_save
     }
 
     /// Queue a counter for the next run's snapshot (used by drivers that
@@ -213,7 +238,14 @@ impl Engine {
         let current: std::collections::HashSet<&str> =
             files.iter().map(|f| f.name.as_str()).collect();
         let before = self.cache.len();
-        self.cache.retain(|path, _| current.contains(path.as_str()));
+        let shards = &mut self.shards;
+        self.cache.retain(|path, _| {
+            let keep = current.contains(path.as_str());
+            if !keep {
+                shards.mark(path);
+            }
+            keep
+        });
         self.recorder
             .count("cache_evictions", (before - self.cache.len()) as u64);
         // Split into cached and to-do.
@@ -291,6 +323,7 @@ impl Engine {
                 // The cache and the result share the same `Arc`: no deep
                 // clone on insert, and `finish`'s mutations copy-on-write
                 // only the files they touch.
+                self.shards.mark(&files[i].name);
                 self.cache.insert(
                     files[i].name.clone(),
                     (fnv1a(files[i].content.as_bytes()), fa.clone()),
@@ -408,6 +441,7 @@ impl Engine {
             annotations,
             annotation_patches,
             stats,
+            run_stats: RunStats::compute(&obs),
             obs,
         }
     }

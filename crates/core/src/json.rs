@@ -21,6 +21,16 @@
 //! composition pass walked to reach the access). The field is omitted
 //! when empty, so depth-0 reports are byte-identical to v2 apart from
 //! the version number. All v2 keys are preserved unchanged.
+//!
+//! Schema v4 makes the report's shape and content deterministic:
+//! scheduling and cache-I/O accounting ([`crate::report::RunStats`]:
+//! worker counts and busy time, pool steals, shard load/save time and
+//! shards written) leaves `stats` and `observability.counters` for a new
+//! top-level `run_stats` block, and `observability.counters` always has
+//! the same keys ([`crate::report::REPORT_COUNTERS`], zero-filled). Two
+//! runs of the same input then differ only in `run_id`, the timing
+//! fields and `run_stats`, plus the work counters when one of them was
+//! served from the cache.
 
 use crate::engine::AnalysisResult;
 use crate::fingerprint::finding_records;
@@ -29,7 +39,9 @@ use crate::ir::UnpairedReason;
 /// Bump on any backwards-incompatible change to [`AnalysisResult::to_json`].
 /// v2: stable fingerprints on every finding, `run_id`, `findings` array.
 /// v3: `via_calls` call-chain provenance on accesses and findings.
-pub const SCHEMA_VERSION: u32 = 3;
+/// v4: scheduling counters moved to the volatile `run_stats` block;
+/// `observability.counters` has a fixed, zero-filled key set.
+pub const SCHEMA_VERSION: u32 = 4;
 
 impl AnalysisResult {
     /// The full result as a `serde_json::Value` following the documented
@@ -60,6 +72,10 @@ impl AnalysisResult {
                     },
                 })
             })
+            .collect();
+        let counters: std::collections::BTreeMap<&str, u64> = crate::report::REPORT_COUNTERS
+            .iter()
+            .map(|&name| (name, self.obs.count_of(name)))
             .collect();
         // Schema v2: every finding entry carries its stable fingerprint
         // plus the full diffable record (what `ofence diff` consumes).
@@ -100,13 +116,14 @@ impl AnalysisResult {
             "observability": {
                 "phase_us": self.stats.phase_us,
                 "slowest_files": self.stats.slowest_files,
-                "counters": self.obs.counters,
+                "counters": counters,
                 "cache": {
                     "hits": self.obs.count_of("engine_cache_hits"),
                     "loads": self.obs.count_of("cache_loads"),
                     "evictions": self.obs.count_of("cache_evictions"),
                 },
             },
+            "run_stats": self.run_stats,
         })
     }
 }
@@ -144,6 +161,7 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             "annotation_patches",
             "files",
             "observability",
+            "run_stats",
         ] {
             assert!(
                 v.as_object().unwrap().contains_key(key),
@@ -193,6 +211,90 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
             counters.contains_key("extract_barriers_found"),
             "{counters:?}"
         );
+    }
+
+    fn counter_keys(v: &serde_json::Value) -> Vec<String> {
+        let counters = v["observability"]["counters"].as_object().unwrap();
+        counters.iter().map(|(k, _)| k.clone()).collect()
+    }
+
+    /// Cold, warm and edited runs report the same counter keys, and the
+    /// scheduling counters only in `run_stats`.
+    #[test]
+    fn report_counter_keys_are_fixed() {
+        let mut files = demo_files();
+        let mut engine = Engine::new(AnalysisConfig::default());
+        let cold = engine.analyze(&files).to_json();
+        let warm = engine.analyze(&files).to_json();
+        files[0].content =
+            format!("{}\nint edited(void) {{ return 1; }}\n", files[0].content).into();
+        let edited = engine.analyze(&files);
+        let mut expected: Vec<String> = crate::report::REPORT_COUNTERS
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        expected.sort();
+        for v in [&cold, &warm, &edited.to_json()] {
+            assert_eq!(counter_keys(v), expected);
+            assert!(v["stats"].get("workers").is_none());
+        }
+        assert!(edited.obs.count_of("workers") > 0);
+        assert_eq!(
+            edited.to_json()["run_stats"]["workers"],
+            edited.obs.count_of("workers")
+        );
+    }
+
+    /// Every counter a feature-complete run records (all bug classes,
+    /// IPA, missing barriers, an unparseable file, a warm run with an
+    /// eviction) is a report counter or a `run_stats` field, so none is
+    /// silently left out of the report.
+    #[test]
+    fn report_counters_cover_the_pipeline() {
+        let mut spec = ofence_corpus::CorpusSpec::small(7);
+        spec.bugs = ofence_corpus::BugPlan {
+            misplaced: 1,
+            repeated_read: 1,
+            wrong_type: 1,
+            unneeded: 1,
+            missing_barrier: 1,
+        };
+        spec.cross_file_chains = 2;
+        spec.chain_bugs = 1;
+        let mut files: Vec<SourceFile> = ofence_corpus::generate(&spec)
+            .files
+            .iter()
+            .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
+            .collect();
+        files.push(SourceFile::new("broken.c", "int @ garbage"));
+        let config = AnalysisConfig {
+            ipa_depth: 2,
+            detect_missing: true,
+            ..Default::default()
+        };
+        let dir = std::env::temp_dir().join(format!("ofence-json-counters-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut engine = Engine::new(config.clone());
+        let cold = engine.analyze(&files);
+        engine.save_disk_cache(&dir).unwrap();
+        files.pop();
+        let mut warm_engine = Engine::new(config);
+        warm_engine.load_disk_cache(&dir);
+        let warm = warm_engine.analyze(&files);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let run_stats = serde_json::to_value(&cold.run_stats);
+        let run_stats = run_stats.as_object().unwrap();
+        for r in [&cold, &warm] {
+            for name in r.obs.counters.keys() {
+                assert!(
+                    crate::report::REPORT_COUNTERS.contains(&name.as_str())
+                        || run_stats.contains_key(name),
+                    "counter {name} is neither reported nor in run_stats"
+                );
+            }
+        }
+        assert!(warm.obs.count_of("cache_evictions") > 0);
     }
 
     #[test]

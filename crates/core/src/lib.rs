@@ -75,7 +75,7 @@ pub use history::RunRecord;
 pub use ir::*;
 pub use patch::{apply_edits, Patch};
 pub use perf::{GateOutcome, PerfRecord};
-pub use report::{DistanceHistogram, Stats};
+pub use report::{DistanceHistogram, RunStats, Stats};
 pub use sarif::to_sarif;
 pub use session::{Session, SessionOptions};
 pub use summary::{ComposedIndex, FnSummary, WindowCall, SUMMARY_VERSION};

@@ -188,6 +188,10 @@ pub struct PerfRecord {
     /// runs.
     pub iteration_us: Option<u64>,
     pub deviations_total: usize,
+    /// The disk-cache save that followed the run: shards written, bytes
+    /// and microseconds. Absent when the run saved no cache, and in
+    /// ledgers written before it was recorded.
+    pub cache_save: Option<crate::cache::SaveStats>,
 }
 
 /// Build the perf record of a finished run. `iteration_us` is `Some` for
@@ -220,14 +224,15 @@ pub fn record_of(
         cache_hits,
         cache_loads: result.obs.count_of("cache_loads"),
         cache_evictions: result.obs.count_of("cache_evictions"),
-        workers: stats.workers,
-        worker_busy_us: stats.worker_busy_us,
-        worker_idle_us: stats.worker_idle_us,
+        workers: result.run_stats.workers,
+        worker_busy_us: result.run_stats.worker_busy_us,
+        worker_idle_us: result.run_stats.worker_idle_us,
         elapsed_ms,
         files_per_sec,
         phase_us: stats.phase_us.clone(),
         iteration_us,
         deviations_total: stats.deviations_total,
+        cache_save: None,
     }
 }
 
@@ -564,6 +569,34 @@ void writer(struct m *b) { b->y = 1; smp_wmb(); b->init = 1; }
         assert!(records[0].cold);
         assert!(records[0].phase_us.contains_key("pair"));
         assert!(records[0].iteration_us.is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Ledger lines written before `cache_save` existed still load, and a
+    /// recorded save round-trips.
+    #[test]
+    fn cache_save_is_optional_in_the_ledger() {
+        let dir = tmp("cache-save");
+        let mut rec = run_once();
+        let old = match serde_json::to_value(&rec) {
+            serde_json::Value::Object(m) => serde_json::Value::Object(
+                m.into_iter().filter(|(k, _)| k != "cache_save").collect(),
+            ),
+            other => panic!("record is not an object: {other:?}"),
+        };
+        rec.cache_save = Some(crate::cache::SaveStats {
+            shards_written: 1,
+            bytes: 512,
+            us: 90,
+        });
+        let path = ledger_path(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, format!("{}\n", serde_json::to_string(&old).unwrap())).unwrap();
+        append(&dir, &rec).unwrap();
+        let (records, skipped) = load(&dir).unwrap();
+        assert_eq!(skipped, 0);
+        assert_eq!(records[0].cache_save, None);
+        assert_eq!(records[1].cache_save, rec.cache_save);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -48,7 +48,82 @@ pub struct Stats {
     /// extract spans), `(file, microseconds)` sorted descending. N is 5
     /// by default and `--slow-files N` from the CLI.
     pub slowest_files: Vec<(String, u64)>,
+}
 
+/// The counters the JSON report's `observability.counters` carries,
+/// each always present (zero when the run did not bump it). The key set
+/// is fixed, so the reports of any two runs — cold or warm, no-op or
+/// edit, CLI or daemon — have the same keys. Scheduling and cache-I/O
+/// counters are in [`RunStats`] instead, and counters a caller queues
+/// (such as `watch_iterations`) reach only metrics and traces. A counter the
+/// pipeline records must be listed here or in [`RunStats`]
+/// (`json::tests::report_counters_cover_the_pipeline`).
+pub const REPORT_COUNTERS: [&str; 47] = [
+    // Front end and extraction, per file (re-)analyzed.
+    "ckit_files_parsed",
+    "ckit_functions",
+    "ckit_parse_errors",
+    "ckit_tokens",
+    "cfgir_cfgs_built",
+    "cfgir_nodes",
+    "extract_accesses_collected",
+    "extract_barriers_found",
+    "extract_callee_expansions",
+    "extract_promoted_atomics",
+    "extract_windows_swept",
+    "engine_files_analyzed",
+    "engine_unparseable_files",
+    // Incremental cache.
+    "engine_cache_hits",
+    "cache_loads",
+    "cache_evictions",
+    "cache_discarded",
+    // Inter-procedural summaries (`ipa_depth > 0`).
+    "ipa_summaries_extracted",
+    "ipa_compose_functions",
+    "ipa_sites_augmented",
+    "ipa_composed_accesses",
+    // Pairing.
+    "pair_object_pairs_scanned",
+    "pair_candidates_considered",
+    "pair_rejected_same_function",
+    "pair_rejected_missing_object",
+    "pair_rejected_worse_weight",
+    "pair_rejected_unordered",
+    "pair_arbitration_losers",
+    "pair_dropped_min_objects",
+    "pair_extended_members",
+    "pairings_formed",
+    "pair_ipa_assisted",
+    "barriers_implicit_ipc",
+    // Checks, by deviation class.
+    "check_deviations_emitted",
+    "check_misplaced memory access",
+    "check_wrong barrier type",
+    "check_racy variable re-read",
+    "check_unneeded barrier",
+    // Missing barriers (`--missing`).
+    "missing_writers_examined",
+    "missing_readers_summarized",
+    "missing_readers_exonerated",
+    "missing_reports_emitted",
+    // Findings and fixes.
+    "suppressed",
+    "patches_emitted",
+    "annotations_emitted",
+    "findings_new",
+    "findings_fixed",
+];
+
+/// How one run was scheduled, and the disk-cache I/O queued into it.
+/// Unlike [`Stats`] and the [`REPORT_COUNTERS`], these numbers vary
+/// between runs of the same input (pool size, work stealing, timing),
+/// so the JSON report keeps them in its volatile `run_stats` block. They
+/// stay in the recorder too (metrics, traces, the perf ledger). Every
+/// field is always present (zero when unused), so the block's shape is
+/// fixed.
+#[derive(Clone, Debug, Serialize)]
+pub struct RunStats {
     /// Worker threads the parallel per-file phase ran with.
     pub workers: usize,
     /// Summed per-file work time across all workers, in microseconds.
@@ -58,6 +133,50 @@ pub struct Stats {
     pub worker_idle_us: u64,
     /// busy / (busy + idle); 0 when no per-file work ran.
     pub worker_utilization: f64,
+    /// Tasks the work-stealing pool moved between worker queues.
+    pub pool_steals: u64,
+    /// Disk-cache load before this run and save before the previous
+    /// one's result was published (queued counters, see
+    /// [`crate::Engine::save_disk_cache`]), in microseconds and shards.
+    pub shard_load_us: u64,
+    pub shard_save_us: u64,
+    pub cache_shards_written: u64,
+}
+
+impl RunStats {
+    pub(crate) fn compute(obs: &obs::Snapshot) -> RunStats {
+        let worker_busy_us = obs.count_of("worker_busy_us");
+        let worker_idle_us = obs.count_of("worker_idle_us");
+        let worker_wall = worker_busy_us + worker_idle_us;
+        RunStats {
+            workers: obs.count_of("workers") as usize,
+            worker_busy_us,
+            worker_idle_us,
+            worker_utilization: if worker_wall > 0 {
+                worker_busy_us as f64 / worker_wall as f64
+            } else {
+                0.0
+            },
+            pool_steals: obs.count_of("pool_steals"),
+            shard_load_us: obs.count_of("shard_load_us"),
+            shard_save_us: obs.count_of("shard_save_us"),
+            cache_shards_written: obs.count_of("cache_shards_written"),
+        }
+    }
+
+    /// The human-readable worker line (empty when no per-file work ran).
+    pub fn render(&self) -> String {
+        if self.workers == 0 {
+            return String::new();
+        }
+        format!(
+            "workers:               {} ({:.1}% busy, {:.1} ms busy / {:.1} ms idle)\n",
+            self.workers,
+            self.worker_utilization * 100.0,
+            self.worker_busy_us as f64 / 1000.0,
+            self.worker_idle_us as f64 / 1000.0
+        )
+    }
 }
 
 /// Span names that make up the per-phase breakdown. The nested ckit
@@ -126,15 +245,6 @@ impl Stats {
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         ranked.truncate(slow_files);
         s.slowest_files = ranked;
-        s.workers = obs.count_of("workers") as usize;
-        s.worker_busy_us = obs.count_of("worker_busy_us");
-        s.worker_idle_us = obs.count_of("worker_idle_us");
-        let worker_wall = s.worker_busy_us + s.worker_idle_us;
-        s.worker_utilization = if worker_wall > 0 {
-            s.worker_busy_us as f64 / worker_wall as f64
-        } else {
-            0.0
-        };
         for fa in files {
             s.functions_total += fa.functions.len();
             s.parse_errors += fa.parse_error_count;
@@ -223,15 +333,6 @@ impl Stats {
             out.push_str(&format!("  {kind:<24} {count}\n"));
         }
         out.push_str(&format!("analysis time:         {} ms\n", self.elapsed_ms));
-        if self.workers > 0 {
-            out.push_str(&format!(
-                "workers:               {} ({:.1}% busy, {:.1} ms busy / {:.1} ms idle)\n",
-                self.workers,
-                self.worker_utilization * 100.0,
-                self.worker_busy_us as f64 / 1000.0,
-                self.worker_idle_us as f64 / 1000.0
-            ));
-        }
         if !self.phase_us.is_empty() {
             // Fixed pipeline order, not BTreeMap (alphabetical) order.
             for phase in PHASES {

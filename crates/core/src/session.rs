@@ -512,11 +512,12 @@ impl Session {
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
         SessionCounters::bump(&self.counters.queue_dequeued);
         let result = engine.analyze_incremental(sources);
-        if let Some(dir) = &self.opts.cache_dir {
+        let cache_save = self.opts.cache_dir.as_ref().and_then(|dir| {
             // A full disk is not a failed analysis: the result stands,
             // the next cold start just pays the re-parse.
-            let _ = engine.save_disk_cache(dir);
-        }
+            engine.save_disk_cache(dir).ok()?;
+            engine.last_save()
+        });
         drop(engine);
         ctx.rec.close(run_span);
         SessionCounters::bump(&self.counters.runs);
@@ -524,7 +525,8 @@ impl Session {
         if let Some(dir) = &self.opts.history_dir {
             let run_record = crate::history::record_of(&result, &self.opts.config, records.clone());
             let _ = crate::history::append(dir, &run_record);
-            let perf_record = crate::perf::record_of(&result, &self.opts.config, None);
+            let mut perf_record = crate::perf::record_of(&result, &self.opts.config, None);
+            perf_record.cache_save = cache_save;
             let _ = crate::perf::append(dir, &perf_record);
         }
         let handle = Arc::new(RunHandle {

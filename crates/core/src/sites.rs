@@ -67,7 +67,7 @@ pub struct FileAnalysis {
     pub functions: Vec<FunctionInfo>,
     pub parse_error_count: usize,
     /// Composable per-function summaries (inter-procedural pass input),
-    /// same order as the file's functions.
+    /// same order as the file's functions; empty at `ipa_depth == 0`.
     pub summaries: Vec<FnSummary>,
     /// Plain calls observed in each site's exploration window, aligned
     /// with `sites` — consumed by the corpus-global summary composition.
@@ -221,13 +221,17 @@ pub fn analyze_file_traced(
     }
 
     // Inter-procedural summaries for every function — cached with the
-    // file and composed corpus-globally by the engine.
-    let fn_summaries = crate::summary::extract_summaries(&lowered, &envs);
-    if config.ipa_depth > 0 {
-        // Counted only when the composition pass is live, so depth-0
-        // reports (and their goldens) carry no IPA counters.
+    // file and composed corpus-globally by the engine. Only composition
+    // reads them, so depth 0 extracts (and caches) none; the cache's
+    // config fingerprint covers the depth, so a depth-0 cache is never
+    // served to an IPA run.
+    let fn_summaries = if config.ipa_depth > 0 {
+        let fn_summaries = crate::summary::extract_summaries(&lowered, &envs);
         rec.count("ipa_summaries_extracted", fn_summaries.len() as u64);
-    }
+        fn_summaries
+    } else {
+        Vec::new()
+    };
     // Batched flush: one lock per counter per file, not per site.
     rec.count("extract_barriers_found", sites.len() as u64);
     rec.count("extract_windows_swept", ctr.windows_swept);

@@ -592,7 +592,12 @@ mod tests {
     fn analyze_named(name: &str, src: &str) -> FileAnalysis {
         let parsed = ckit::parse_string(name, src).unwrap();
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        analyze_file(0, &parsed, &AnalysisConfig::default())
+        // Summaries are extracted only when composition is on.
+        let config = AnalysisConfig {
+            ipa_depth: 1,
+            ..AnalysisConfig::default()
+        };
+        analyze_file(0, &parsed, &config)
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Golden-file snapshot tests for the machine-readable surfaces:
-//! `analyze --json` (schema v2) and the `explain` rendering, pinned on
+//! `analyze --json` (schema v4) and the `explain` rendering, pinned on
 //! the paper's own fixtures.
 //!
-//! Run-dependent fields (`elapsed_ms`, `phase_us`, `slowest_files`,
-//! `run_id`) are scrubbed before comparison; everything else — site extraction,
-//! pairings, deviations, patches, annotations, counters — must match the
-//! checked-in snapshot byte for byte. To regenerate after an intentional
+//! Run-dependent fields (`run_id`, the timings `elapsed_ms`, `phase_us`,
+//! `slowest_files`, and the `run_stats` block) are scrubbed before
+//! comparison; everything else — site extraction, pairings, deviations,
+//! patches, annotations, counters — must match the checked-in snapshot
+//! byte for byte. To regenerate after an intentional
 //! output change:
 //!
 //! ```text
@@ -41,25 +42,17 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 /// Replace run-dependent values anywhere in the tree so snapshots only
-/// pin semantic output.
+/// pin semantic output: the run id and the timings (`run_stats` is the
+/// report's block of scheduling and I/O timings).
 fn scrub(v: serde_json::Value) -> serde_json::Value {
     use serde_json::Value;
     match v {
-        // Worker counters are dropped (not value-scrubbed) because their
-        // *presence* is run-dependent: a zero-valued counter (e.g. no
-        // worker idle time on a tiny corpus) is never created at all.
         Value::Object(m) => Value::Object(
             m.into_iter()
-                .filter(|(k, _)| {
-                    !matches!(
-                        k.as_str(),
-                        "workers" | "worker_busy_us" | "worker_idle_us" | "worker_utilization"
-                    )
-                })
                 .map(|(k, v)| {
                     let v = if matches!(
                         k.as_str(),
-                        "elapsed_ms" | "phase_us" | "slowest_files" | "run_id"
+                        "run_id" | "elapsed_ms" | "phase_us" | "slowest_files" | "run_stats"
                     ) {
                         Value::String("<scrubbed>".to_string())
                     } else {

@@ -168,7 +168,12 @@ fn depth_zero_reports_identical_to_pre_ipa_pipeline() {
         };
         serde_json::Value::Object(
             m.into_iter()
-                .filter(|(k, _)| k != "run_id" && k != "stats" && k != "observability")
+                .filter(|(k, _)| {
+                    !matches!(
+                        k.as_str(),
+                        "run_id" | "stats" | "observability" | "run_stats"
+                    )
+                })
                 .collect(),
         )
     };

@@ -327,3 +327,145 @@ fn result_fingerprint(r: &ofence::AnalysisResult) -> String {
         r.sites, r.pairing.pairings, r.pairing.unpaired, r.deviations, r.annotations
     )
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Dirty-shard saves never lose or resurrect a cache entry: after any
+    /// sequence of edits, additions and deletions, each followed by a
+    /// save that rewrites only the changed shards, a fresh engine loading
+    /// the cache hits every file and reports what a cold run reports.
+    #[test]
+    fn dirty_saves_match_cold_runs(spec in arb_spec(), ops in proptest::collection::vec((0usize..3, any::<u64>()), 1..5)) {
+        dirty_saves_match_cold(spec, &ops, 0)?;
+    }
+
+    /// The same at `--ipa-depth 2`, whose cache entries carry function
+    /// summaries, over corpora with cross-file call chains.
+    #[test]
+    fn dirty_saves_match_cold_runs_with_ipa(spec in arb_spec(), ops in proptest::collection::vec((0usize..3, any::<u64>()), 1..5)) {
+        let spec = CorpusSpec { cross_file_chains: 2, ..spec };
+        dirty_saves_match_cold(spec, &ops, 2)?;
+    }
+}
+
+/// Apply `ops` (0 = edit, 1 = add, 2 = delete; each with a seed) to the
+/// corpus of `spec`, saving a long-lived engine's cache after each step,
+/// and check a fresh engine over that cache against a cold run.
+fn dirty_saves_match_cold(
+    spec: CorpusSpec,
+    ops: &[(usize, u64)],
+    ipa_depth: u32,
+) -> Result<(), TestCaseError> {
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let config = AnalysisConfig {
+        ipa_depth,
+        ..Default::default()
+    };
+    let dir = std::env::temp_dir().join(format!(
+        "ofence-prop-dirty-{}-{ipa_depth}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut corpus = generate(&spec);
+    let mut live = Engine::new(config.clone());
+    live.analyze(&sources_of(&corpus));
+    live.save_disk_cache(&dir).expect("save cache");
+    // Deleted files, re-added later under their old path.
+    let mut deleted: Vec<ofence_corpus::GenFile> = Vec::new();
+    for (step, &(op, seed)) in ops.iter().enumerate() {
+        let pick = seed as usize % corpus.files.len();
+        match op {
+            0 => {
+                ofence_corpus::inject_edit(&mut corpus, seed.wrapping_add(step as u64));
+            }
+            1 => {
+                let file = deleted.pop().unwrap_or_else(|| ofence_corpus::GenFile {
+                    name: format!("gen/added{step}.c"),
+                    content: corpus.files[pick].content.clone(),
+                });
+                corpus.files.push(file);
+            }
+            _ if corpus.files.len() > 1 => deleted.push(corpus.files.remove(pick)),
+            _ => {}
+        }
+        let files = sources_of(&corpus);
+        live.analyze(&files);
+        live.save_disk_cache(&dir).expect("save cache");
+
+        let mut warm = Engine::new(config.clone());
+        let outcome = warm.load_disk_cache(&dir);
+        prop_assert_eq!(
+            outcome,
+            ofence::LoadOutcome::Loaded {
+                entries: files.len()
+            },
+            "step {}: the cache must hold exactly the corpus",
+            step
+        );
+        let warm_run = warm.analyze(&files);
+        prop_assert_eq!(
+            (
+                warm_run.obs.count_of("engine_cache_hits") as usize,
+                warm_run.obs.count_of("cache_evictions")
+            ),
+            (files.len(), 0),
+            "step {} (op {}): every entry current, none stale",
+            step,
+            op
+        );
+        let cold_run = Engine::new(config.clone()).analyze(&files);
+        let (warm_doc, cold_doc) = (semantic_json(&warm_run), semantic_json(&cold_run));
+        prop_assert!(
+            warm_doc == cold_doc,
+            "step {} (op {}): warm report differs from cold at line {:?}",
+            step,
+            op,
+            warm_doc
+                .lines()
+                .zip(cold_doc.lines())
+                .position(|(a, b)| a != b)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
+}
+
+fn sources_of(corpus: &ofence_corpus::Corpus) -> Vec<SourceFile> {
+    corpus
+        .files
+        .iter()
+        .map(|f| SourceFile::new(f.name.clone(), f.content.clone()))
+        .collect()
+}
+
+/// The JSON report minus what legitimately differs between a warm and a
+/// cold run of the same input: the run id, timings, the volatile
+/// `run_stats` block, and `observability`, whose counters describe the
+/// work done (a warm run parses nothing and counts cache hits instead).
+fn semantic_json(r: &ofence::AnalysisResult) -> String {
+    use serde_json::Value;
+    let Value::Object(top) = r.to_json() else {
+        panic!("report is not an object")
+    };
+    let top: serde_json::Map<String, Value> = top
+        .into_iter()
+        .filter(|(k, _)| !matches!(k.as_str(), "run_id" | "observability" | "run_stats"))
+        .map(|(k, v)| match (k.as_str(), v) {
+            ("stats", Value::Object(stats)) => (
+                k,
+                Value::Object(
+                    stats
+                        .into_iter()
+                        .filter(|(k, _)| {
+                            !matches!(k.as_str(), "elapsed_ms" | "phase_us" | "slowest_files")
+                        })
+                        .collect(),
+                ),
+            ),
+            (_, v) => (k, v),
+        })
+        .collect();
+    serde_json::to_string_pretty(&Value::Object(top)).expect("report serializes")
+}

@@ -246,7 +246,7 @@ fn run_cli(args: &[&str]) -> String {
 /// match byte for byte.
 fn scrub_volatile(doc: &mut Value) {
     if let Value::Object(map) = doc {
-        for key in ["run_id", "stats", "observability"] {
+        for key in ["run_id", "stats", "observability", "run_stats"] {
             if map.contains_key(key) {
                 map.insert(key.to_string(), Value::Null);
             }
@@ -277,7 +277,7 @@ fn daemon_matches_single_shot_cli_byte_for_byte() {
 
     // analyze: same document the CLI prints for `analyze --json`.
     let served = client.ok(serde_json::json!({"id": 1, "method": "analyze"}));
-    assert_eq!(served["schema_version"], 3);
+    assert_eq!(served["schema_version"], ofence::json::SCHEMA_VERSION);
     for key in ["run_id", "sites", "pairings", "findings", "files"] {
         assert!(served.get(key).is_some(), "analyze document has `{key}`");
     }
@@ -364,7 +364,7 @@ fn daemon_matches_single_shot_cli_byte_for_byte() {
         "method": "analyze-file",
         "params": {"file": file},
     }));
-    assert_eq!(slice["schema_version"], 3);
+    assert_eq!(slice["schema_version"], ofence::json::SCHEMA_VERSION);
     assert_eq!(slice["file"].as_str().unwrap(), file);
     let full_findings = Value::Array(
         second["findings"]
