@@ -12,7 +12,10 @@
 #   5. `/debug/requests` retains at least one captured trace whose span
 #      tree is balanced (node count == span_count),
 #   6. the disk cache survives: a fresh single-shot run over the soaked
-#      cache dir reloads the shards instead of discarding them.
+#      cache dir reloads the shards instead of discarding them,
+#   7. the daemon (run with `--missing`) keeps its missing-barrier reader
+#      summaries: once the edits stop, an `analyze` request builds none
+#      (`missing_reader_files_built` == 0) yet still matches readers.
 #
 # Environment: OFENCE (binary path), SOAK_SECONDS (default 30).
 set -euo pipefail
@@ -29,7 +32,7 @@ trap cleanup EXIT
 
 "$BIN" gen --out "$WORK/corpus" --files 20 --seed 17 --bugs
 
-"$BIN" serve "$WORK/corpus" --addr 127.0.0.1:0 --metrics 127.0.0.1:0 \
+"$BIN" serve "$WORK/corpus" --addr 127.0.0.1:0 --metrics 127.0.0.1:0 --missing \
   --cache-dir "$WORK/cache" --history-dir "$WORK/history" \
   > "$WORK/serve.log" 2>&1 &
 SERVE=$!
@@ -146,6 +149,14 @@ assert balanced >= 1, f"no balanced trace among {len(summaries)} captured"
 sock, io = connect()
 status = call(io, {"id": "final", "method": "status"})["result"]
 counters = status["counters"]
+# Gate 7: the first request absorbs the editor's last save; the next one,
+# over an unchanged corpus, must reuse every reader summary.
+call(io, {"id": "settle", "method": "analyze"})
+reuse = call(io, {"id": "reuse", "method": "analyze"})
+assert reuse["ok"], reuse
+reuse_counters = reuse["result"]["observability"]["counters"]
+assert reuse_counters["missing_reader_files_built"] == 0, reuse_counters
+assert reuse_counters["missing_readers_summarized"] > 0, reuse_counters
 call(io, {"id": "bye", "method": "shutdown"})
 sock.close()
 
@@ -162,16 +173,19 @@ print(
     f"soak OK: {counters['serve_requests']} requests, "
     f"{counters['serve_runs']} runs, "
     f"{counters['serve_coalesced']} coalesced, 0 errors, "
-    f"{balanced} balanced traces"
+    f"{balanced} balanced traces, "
+    f"{reuse_counters['missing_readers_summarized']} reader summaries reused"
 )
 EOF
 
 wait "$SERVE"
 SERVE=""
 
-# Gate 3: the soaked cache dir must reload cleanly. `cache_discarded` is
-# only emitted when shards fail validation, so its absence is the pass.
-"$BIN" analyze "$WORK/corpus" --cache-dir "$WORK/cache" --no-history \
+# Gate 6: the soaked cache dir must reload cleanly under the daemon's
+# configuration (`--missing` is part of the cache's config fingerprint).
+# `cache_discarded` is only emitted when shards fail validation, so its
+# absence is the pass.
+"$BIN" analyze "$WORK/corpus" --missing --cache-dir "$WORK/cache" --no-history \
   --fail-on none --metrics-out "$WORK/verify-metrics.txt" > /dev/null
 if grep -q "ofence_cache_discarded_total" "$WORK/verify-metrics.txt"; then
   echo "cache shards were discarded after the soak" >&2

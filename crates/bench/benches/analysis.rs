@@ -71,7 +71,7 @@ fn bench_incremental(c: &mut Criterion) {
                 let suffix = if flip { "\n/* a */\n" } else { "\n/* b */\n" };
                 let bumped = format!("{}{}", edited[files / 2].content, suffix);
                 edited[files / 2].content = bumped.into();
-                let result = engine.analyze_incremental(&edited);
+                let result = engine.analyze(&edited);
                 result.stats.pairings
             });
         });

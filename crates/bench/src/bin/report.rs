@@ -306,7 +306,7 @@ fn runtime(
     let _ = engine.analyze(&files);
     let touched = files.len() / 2;
     files[touched].content = format!("{}\n/* touched */\n", files[touched].content).into();
-    let inc = engine.analyze_incremental(&files);
+    let inc = engine.analyze(&files);
     println!(
         "single-file incremental:  {} ms  (paper: <30 s per file)",
         inc.stats.elapsed_ms

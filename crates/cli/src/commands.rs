@@ -4,8 +4,8 @@ use crate::args::{
     BaselineWriteOpts, CallOpts, Command, DiffOpts, ExplainOpts, GenOpts, PerfOpts, RunOpts,
     ServeOpts, TraceOpts, WatchOpts,
 };
-use crate::walk::collect_sources;
 use ofence::obs::NdjsonSink;
+use ofence::walk::collect_sources;
 use ofence::{AnalysisResult, Engine, FailOn, FindingRecord, LoadOutcome, Patch};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -208,9 +208,9 @@ fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
         }
         if opts.json {
             let shown = &records[records.len().saturating_sub(opts.last)..];
-            println!("{}", serde_json::to_string_pretty(&shown).unwrap());
+            outln!("{}", serde_json::to_string_pretty(&shown).unwrap());
         } else {
-            print!(
+            out!(
                 "{}",
                 ofence::perf::render_request_trends(&records, opts.last)
             );
@@ -228,9 +228,9 @@ fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
     if opts.gate {
         let outcome = ofence::perf::gate(&records, opts.max_regress_pct)?;
         if opts.json {
-            println!("{}", serde_json::to_string_pretty(&outcome).unwrap());
+            outln!("{}", serde_json::to_string_pretty(&outcome).unwrap());
         } else {
-            println!("perf gate: {}", outcome.note);
+            outln!("perf gate: {}", outcome.note);
         }
         return Ok(if outcome.pass {
             ExitCode::SUCCESS
@@ -240,9 +240,9 @@ fn perf(opts: PerfOpts) -> Result<ExitCode, String> {
     }
     if opts.json {
         let shown = &records[records.len().saturating_sub(opts.last)..];
-        println!("{}", serde_json::to_string_pretty(&shown).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&shown).unwrap());
     } else {
-        print!("{}", ofence::perf::render_trend(&records, opts.last));
+        out!("{}", ofence::perf::render_trend(&records, opts.last));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -296,14 +296,14 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
     append_history(&opts, &result, &records)?;
     if opts.json {
         // The stable, versioned schema documented in docs/SCHEMA.md.
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&result.to_json()).unwrap()
         );
     } else {
-        println!("{}{}", result.stats.render(), result.run_stats.render());
+        outln!("{}{}", result.stats.render(), result.run_stats.render());
         if !result.pairing.pairings.is_empty() {
-            println!("pairings:");
+            outln!("pairings:");
             for p in &result.pairing.pairings {
                 let fns: Vec<String> = p
                     .members
@@ -313,19 +313,19 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
                         format!("{}:{}", s.site.file_name, s.site.function)
                     })
                     .collect();
-                println!("  {} on {:?}", fns.join(" <-> "), p.objects);
+                outln!("  {} on {:?}", fns.join(" <-> "), p.objects);
             }
         }
         if result.deviations.is_empty() {
-            println!("\nno barrier-ordering issues found.");
+            outln!("\nno barrier-ordering issues found.");
         } else {
-            println!();
+            outln!();
             for d in &result.deviations {
-                println!("{}", d.render(&result.files[d.site.file].source));
+                outln!("{}", d.render(&result.files[d.site.file].source));
             }
         }
         if baseline.is_some() {
-            println!(
+            outln!(
                 "baseline: {} known, {} new, {} fixed",
                 delta.unchanged.len(),
                 delta.new.len(),
@@ -352,7 +352,7 @@ fn analyze(opts: RunOpts) -> Result<ExitCode, String> {
 fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
     // Fail fast on an unservable corpus (nonexistent path, no .c files)
     // before binding anything.
-    ofence::collect_sources(&opts.run.paths)?;
+    collect_sources(&opts.run.paths)?;
     let session = Arc::new(ofence::Session::new(ofence::SessionOptions {
         config: opts.run.config.clone(),
         paths: opts.run.paths.clone(),
@@ -363,7 +363,7 @@ fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
         Some(addr) => {
             let s = ofence::obs::serve::serve(addr, session.live())
                 .map_err(|e| format!("--metrics: {e}"))?;
-            println!("serve: serving /metrics and /health on http://{}", s.addr());
+            outln!("serve: serving /metrics and /health on http://{}", s.addr());
             Some(s)
         }
         None => None,
@@ -371,13 +371,13 @@ fn serve(opts: ServeOpts) -> Result<ExitCode, String> {
     let server = ofence::server::serve(&opts.addr, session).map_err(|e| format!("--addr: {e}"))?;
     // Scripts read the bound address back from this line (port 0 lets
     // the OS pick) — same contract as watch's --serve-metrics print.
-    println!("serve: listening on {}", server.addr());
+    outln!("serve: listening on {}", server.addr());
     while !server.stopped() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     server.shutdown();
     drop(metrics);
-    println!("serve: shut down");
+    outln!("serve: shut down");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -397,7 +397,7 @@ fn call(opts: CallOpts) -> Result<ExitCode, String> {
     };
     let response = rpc_once(&opts.addr, &request)?;
     if response["ok"] == true {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&response["result"]).unwrap()
         );
@@ -460,9 +460,9 @@ fn trace(opts: TraceOpts) -> Result<ExitCode, String> {
     }
     let doc = &response["result"];
     if opts.json {
-        println!("{}", serde_json::to_string_pretty(doc).unwrap());
+        outln!("{}", serde_json::to_string_pretty(doc).unwrap());
     } else {
-        print!("{}", render_trace(doc));
+        out!("{}", render_trace(doc));
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -568,12 +568,12 @@ fn diff(opts: DiffOpts) -> Result<ExitCode, String> {
         }
     };
     if opts.run.json {
-        println!(
+        outln!(
             "{}",
             serde_json::to_string_pretty(&report.to_json()).unwrap()
         );
     } else {
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     let fail = match opts.run.fail_on.unwrap_or(FailOn::New) {
         FailOn::Any => !report.new.is_empty() || !report.unchanged.is_empty(),
@@ -613,9 +613,10 @@ fn baseline_write(opts: BaselineWriteOpts) -> Result<ExitCode, String> {
     let baseline = ofence::Baseline::new(&result.run_id, records);
     ofence::diffing::write_baseline(Path::new(&opts.out), &baseline)
         .map_err(|e| format!("baseline: {e}"))?;
-    println!(
+    outln!(
         "baseline: recorded {count} finding(s) from {} to {}",
-        result.run_id, opts.out
+        result.run_id,
+        opts.out
     );
     Ok(ExitCode::SUCCESS)
 }
@@ -632,15 +633,15 @@ fn patch(opts: RunOpts) -> Result<ExitCode, String> {
         .collect();
     if opts.json {
         let payload: Vec<_> = patches.iter().map(|(_, p)| p).collect();
-        println!("{}", serde_json::to_string_pretty(&payload).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&payload).unwrap());
     } else {
         for (_, p) in &patches {
-            println!("{}", p.title);
-            println!("    {}", p.explanation);
-            println!("{}", p.diff);
+            outln!("{}", p.title);
+            outln!("    {}", p.explanation);
+            outln!("{}", p.diff);
         }
         if patches.is_empty() {
-            println!("nothing to patch.");
+            outln!("nothing to patch.");
         }
     }
     if opts.apply {
@@ -672,16 +673,16 @@ fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
     }
     if opts.json {
         let payload: Vec<_> = result.annotations.iter().collect();
-        println!("{}", serde_json::to_string_pretty(&payload).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&payload).unwrap());
     } else {
         for (file, edits) in &grouped {
             let fa = &result.files[*file];
             if let Some(fixed) = ofence::apply_edits(&fa.source, edits) {
-                println!("{}", ofence::patch::line_diff(&fa.source, &fixed, &fa.name));
+                outln!("{}", ofence::patch::line_diff(&fa.source, &fixed, &fa.name));
             }
         }
         if grouped.is_empty() {
-            println!("all concurrent accesses are already annotated.");
+            outln!("all concurrent accesses are already annotated.");
         }
     }
     if opts.apply {
@@ -694,9 +695,9 @@ fn annotate(opts: RunOpts) -> Result<ExitCode, String> {
 fn stats(opts: RunOpts) -> Result<ExitCode, String> {
     let result = run_engine(&opts)?;
     if opts.json {
-        println!("{}", serde_json::to_string_pretty(&result.stats).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&result.stats).unwrap());
     } else {
-        println!("{}{}", result.stats.render(), result.run_stats.render());
+        outln!("{}{}", result.stats.render(), result.run_stats.render());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -740,9 +741,9 @@ fn explain(opts: ExplainOpts) -> Result<ExitCode, String> {
         ofence::explain_site_with(&result.sites, &result.pairing, &opts.run.config, site.id)
             .expect("site id comes from this result");
     if opts.run.json {
-        println!("{}", serde_json::to_string_pretty(&explanation).unwrap());
+        outln!("{}", serde_json::to_string_pretty(&explanation).unwrap());
     } else {
-        print!("{}", explanation.render());
+        out!("{}", explanation.render());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -767,7 +768,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         Some(addr) => {
             let s = ofence::obs::serve::serve(addr, live.clone())
                 .map_err(|e| format!("--serve-metrics: {e}"))?;
-            println!("watch: serving /metrics and /health on http://{}", s.addr());
+            outln!("watch: serving /metrics and /health on http://{}", s.addr());
             Some(s)
         }
         None => None,
@@ -806,7 +807,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         // The recorder resets per run, so queue the cumulative count:
         // every snapshot (and metrics file) reports total runs so far.
         engine.queue_count("watch_iterations", runs);
-        let mut result = engine.analyze_incremental(&sources);
+        let mut result = engine.analyze(&sources);
         if let Some(dir) = &cache_dir {
             save_cache(&mut engine, &opts.run, dir)?;
         }
@@ -832,7 +833,7 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
         // consumer tailing `--events-out` (or a watch session that gets
         // killed while polling) always sees complete, balanced events.
         engine.recorder().flush_sinks();
-        println!(
+        outln!(
             "watch: run {} — {} files, {} deviations ({} new, {} fixed)",
             runs,
             sources.len(),
@@ -849,13 +850,13 @@ fn watch(opts: WatchOpts) -> Result<ExitCode, String> {
                 .iter()
                 .map(|(f, us)| format!("{f} ({us}us)"))
                 .collect();
-            println!("  slowest: {}", listing.join(", "));
+            outln!("  slowest: {}", listing.join(", "));
         }
         for r in &delta.new {
-            println!("  + {}", r.render_line());
+            outln!("  + {}", r.render_line());
         }
         for r in &delta.fixed {
-            println!("  - {}", r.render_line());
+            outln!("  - {}", r.render_line());
         }
         known = records;
 
@@ -936,7 +937,7 @@ fn write_corpus(corpus: &ofence_corpus::Corpus, out: &str) -> Result<ExitCode, S
     }
     let manifest = serde_json::to_string_pretty(&corpus.manifest).unwrap();
     std::fs::write(out.join("manifest.json"), manifest).map_err(|e| format!("manifest: {e}"))?;
-    println!(
+    outln!(
         "wrote {} files (+ manifest.json with ground truth) to {}",
         corpus.files.len(),
         out.display()
@@ -981,7 +982,7 @@ fn apply_grouped(
         let fixed = ofence::apply_edits(&fa.source, &kept)
             .ok_or_else(|| format!("{}: edits failed to apply", fa.name))?;
         std::fs::write(&fa.name, fixed).map_err(|e| format!("{}: {e}", fa.name))?;
-        println!("patched {}", fa.name);
+        outln!("patched {}", fa.name);
     }
     Ok(())
 }

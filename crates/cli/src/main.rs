@@ -57,11 +57,41 @@
 //!
 //! Paths may be files or directories (searched recursively for `*.c`).
 
+/// `print!` for the CLI's stdout, through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for the CLI's stdout, through [`write_stdout`].
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod args;
 mod commands;
-mod walk;
 
+use std::io::Write;
 use std::process::ExitCode;
+
+/// Write to stdout. A reader that went away (`ofence analyze … | head`)
+/// ends the process quietly with status 0, where `print!` would panic;
+/// any other write error is reported and exits 2.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("ofence: writing to stdout: {e}");
+        std::process::exit(2);
+    }
+}
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();

@@ -69,11 +69,14 @@
 //! their CFG or AST: every downstream consumer of `FileAnalysis::
 //! functions` (re-read dataflow gate, patch synthesis, annotation
 //! synthesis) reaches a function only through a barrier site in the same
-//! file, and the missing-barrier detector re-lowers from source. This
-//! keeps warm loads cheap on realistic trees, where most files have no
-//! barriers at all. Function summaries exist only when the
+//! file. This keeps warm loads cheap on realistic trees, where most files
+//! have no barriers at all. Function summaries exist only when the
 //! inter-procedural pass is on (`ipa_depth > 0`), so depth-0 caches
-//! carry none.
+//! carry none. The missing-barrier detector's reader summaries
+//! (`FileAnalysis::readers`) are not stored at all, which keeps this
+//! format and the per-edit shard writes unchanged by `--missing`: the
+//! engine rebuilds them once per hydrated entry, on the worker pool, on
+//! its first `--missing` run.
 
 use crate::config::AnalysisConfig;
 use crate::ir::BarrierSite;
@@ -265,6 +268,7 @@ impl CachedFile {
             parse_error_count: self.parse_error_count,
             summaries: self.summaries,
             window_calls: self.window_calls,
+            readers: None, // rebuilt once by the engine when needed
         }
     }
 }

@@ -212,8 +212,9 @@ impl Engine {
         self.pending_counts.push((name.to_string(), delta));
     }
 
-    /// Analyze a corpus from scratch (cache is still populated for
-    /// subsequent incremental runs).
+    /// Analyze a corpus: unchanged files come from the cache, only changed
+    /// files are re-parsed; pairing and checking always re-run globally
+    /// (they are cheap relative to parsing).
     pub fn analyze(&mut self, files: &[SourceFile]) -> AnalysisResult {
         self.recorder.reset();
         for (name, delta) in self.pending_counts.drain(..) {
@@ -222,13 +223,6 @@ impl Engine {
         let root = self.recorder.open("analyze");
         let analyses = self.analyze_files(files);
         self.finish(analyses, root)
-    }
-
-    /// Re-analyze after edits: unchanged files come from the cache, only
-    /// changed files are re-parsed; pairing and checking always re-run
-    /// globally (they are cheap relative to parsing).
-    pub fn analyze_incremental(&mut self, files: &[SourceFile]) -> AnalysisResult {
-        self.analyze(files)
     }
 
     fn analyze_files(&mut self, files: &[SourceFile]) -> Vec<Arc<FileAnalysis>> {
@@ -251,6 +245,7 @@ impl Engine {
         // Split into cached and to-do.
         let mut results: Vec<Option<Arc<FileAnalysis>>> = vec![None; files.len()];
         let mut todo: Vec<usize> = Vec::new();
+        let mut fill: Vec<usize> = Vec::new();
         for (i, f) in files.iter().enumerate() {
             let h = fnv1a(f.content.as_bytes());
             match self.cache.get_mut(&f.name) {
@@ -271,6 +266,11 @@ impl Engine {
                             s.site.file = i;
                         }
                     }
+                    // Disk-loaded entries carry no reader summaries: the
+                    // batch below builds them once, from the live source.
+                    if self.config.detect_missing && fa.readers.is_none() {
+                        fill.push(i);
+                    }
                     results[i] = Some(fa.clone());
                     self.recorder.count("engine_cache_hits", 1);
                 }
@@ -279,10 +279,12 @@ impl Engine {
         }
         self.recorder
             .count("engine_files_analyzed", todo.len() as u64);
-        // Parallel per-file analysis of the remainder on the persistent
-        // work-stealing pool. Largest files first: the round-robin deal
-        // spreads the heavy head across worker deques, and stealing only
-        // has to trim the tail.
+        // Parallel per-file analysis of the remainder, and reader-summary
+        // builds for the hits in `fill`, on the persistent work-stealing
+        // pool. Largest files first: the round-robin deal spreads the
+        // heavy head across worker deques, and stealing only has to trim
+        // the tail.
+        todo.extend(fill);
         todo.sort_by_key(|&i| std::cmp::Reverse(files[i].content.len()));
         let pool = crate::pool::global();
         self.recorder
@@ -297,19 +299,29 @@ impl Engine {
         let frontend = &ckit::FrontendConfig::default();
         pool.run_batch(&todo, rec, &|w, i| {
             let f = &files[i];
-            let fa = match ckit::parse_traced_shared(&f.name, &f.content, frontend, rec) {
-                Ok(parsed) => analyze_file_traced(i, &parsed, config, rec),
-                Err(_) => {
-                    rec.count("engine_unparseable_files", 1);
-                    FileAnalysis {
-                        file: i,
-                        name: f.name.clone(),
-                        source: f.content.clone(),
-                        sites: Vec::new(),
-                        functions: Vec::new(),
-                        parse_error_count: 1,
-                        summaries: Vec::new(),
-                        window_calls: Vec::new(),
+            let fa = if let Some(hit) = &results[i] {
+                FileAnalysis {
+                    readers: Some(crate::missing::summarize_source(
+                        &f.name, &f.content, config, rec,
+                    )),
+                    ..FileAnalysis::clone(hit)
+                }
+            } else {
+                match ckit::parse_traced_shared(&f.name, &f.content, frontend, rec) {
+                    Ok(parsed) => analyze_file_traced(i, &parsed, config, rec),
+                    Err(_) => {
+                        rec.count("engine_unparseable_files", 1);
+                        FileAnalysis {
+                            file: i,
+                            name: f.name.clone(),
+                            source: f.content.clone(),
+                            sites: Vec::new(),
+                            functions: Vec::new(),
+                            parse_error_count: 1,
+                            summaries: Vec::new(),
+                            window_calls: Vec::new(),
+                            readers: config.detect_missing.then(|| Arc::from([])),
+                        }
                     }
                 }
             };
@@ -322,8 +334,12 @@ impl Engine {
             for (i, fa) in slot.into_inner().expect("worker slot") {
                 // The cache and the result share the same `Arc`: no deep
                 // clone on insert, and `finish`'s mutations copy-on-write
-                // only the files they touch.
-                self.shards.mark(&files[i].name);
+                // only the files they touch. A hit that only gained its
+                // reader summaries leaves its shard clean: the disk cache
+                // does not store them.
+                if results[i].is_none() {
+                    self.shards.mark(&files[i].name);
+                }
                 self.cache.insert(
                     files[i].name.clone(),
                     (fnv1a(files[i].content.as_bytes()), fa.clone()),
@@ -575,7 +591,7 @@ void writer(struct my_struct *b) {
         let mut engine = Engine::new(AnalysisConfig::default());
         let r1 = engine.analyze(&files);
         // Unchanged re-run: identical results.
-        let r2 = engine.analyze_incremental(&files);
+        let r2 = engine.analyze(&files);
         assert_eq!(r1.stats.pairings, r2.stats.pairings);
         assert_eq!(r1.sites.len(), r2.sites.len());
     }
@@ -588,7 +604,7 @@ void writer(struct my_struct *b) {
         assert_eq!(r1.pairing.pairings.len(), 1);
         // Break the reader: remove its barrier.
         files[0].content = files[0].content.replace("smp_rmb();", ";").into();
-        let r2 = engine.analyze_incremental(&files);
+        let r2 = engine.analyze(&files);
         assert_eq!(r2.sites.len(), 1);
         assert!(r2.pairing.pairings.is_empty());
     }

@@ -31,6 +31,10 @@
 //! runs of the same input then differ only in `run_id`, the timing
 //! fields and `run_stats`, plus the work counters when one of them was
 //! served from the cache.
+//!
+//! Schema v5 adds `missing_reader_files_built` to the fixed counter set:
+//! the files whose missing-barrier reader summaries this run built. All
+//! v4 keys are preserved unchanged.
 
 use crate::engine::AnalysisResult;
 use crate::fingerprint::finding_records;
@@ -41,7 +45,8 @@ use crate::ir::UnpairedReason;
 /// v3: `via_calls` call-chain provenance on accesses and findings.
 /// v4: scheduling counters moved to the volatile `run_stats` block;
 /// `observability.counters` has a fixed, zero-filled key set.
-pub const SCHEMA_VERSION: u32 = 4;
+/// v5: `missing_reader_files_built` joins the fixed counter set.
+pub const SCHEMA_VERSION: u32 = 5;
 
 impl AnalysisResult {
     /// The full result as a `serde_json::Value` following the documented

@@ -26,10 +26,13 @@ use crate::ir::*;
 use crate::pairing::PairingResult;
 use crate::sites::FileAnalysis;
 use crate::summary::ComposedIndex;
-use cfgir::{dominators, Cfg, LoweredFile, NodeId, NodeKind};
+use cfgir::{dominators, Cfg, LoweredFile, NodeId, NodeKind, TypeEnv};
 use ckit::span::Span;
+use ckit::ParsedFile;
+use std::sync::Arc;
 
 /// One load in a candidate reader function.
+#[derive(Debug)]
 struct Load {
     object: SharedObject,
     node: NodeId,
@@ -37,23 +40,32 @@ struct Load {
     line: u32,
 }
 
-/// A barrier-free function, summarized for the detector.
-struct Reader {
-    file: usize,
-    file_name: String,
+/// A barrier-free function, summarized for the detector. Built once per
+/// file, in the per-file phase, and kept on [`FileAnalysis::readers`], so
+/// a run only matches writers against summaries it already has.
+#[derive(Debug)]
+pub struct ReaderSummary {
     name: String,
-    reads: Vec<Load>,
+    reads: Box<[Load]>,
     /// Objects the function stores to (a true reader has none of the
     /// protocol's).
-    writes: Vec<SharedObject>,
-    /// Nodes that are branch conditions.
-    cond_nodes: Vec<NodeId>,
-    dom: cfgir::DomTree,
+    writes: Box<[SharedObject]>,
+    /// `(guard, payload)` indices into `reads`, ascending: the guard load
+    /// sits in a branch condition whose node dominates the payload load's
+    /// (distinct) node — the shape a fence protects.
+    guarded: Box<[(u32, u32)]>,
+}
+
+/// A reader summary placed in the corpus.
+struct Reader<'a> {
+    file: usize,
+    file_name: &'a str,
+    summary: &'a ReaderSummary,
 }
 
 /// The evidence a candidate produced: which guard/payload loads matched.
 struct Candidate<'a> {
-    reader: &'a Reader,
+    reader: &'a Reader<'a>,
     guard: &'a Load,
     payload: &'a Load,
     /// Guard load sits in a condition that dominates the payload load and
@@ -65,7 +77,7 @@ struct Candidate<'a> {
 /// barrier. Called by the engine when
 /// [`AnalysisConfig::detect_missing`] is set.
 pub fn detect(
-    files: &[std::sync::Arc<FileAnalysis>],
+    files: &[Arc<FileAnalysis>],
     sites: &[BarrierSite],
     pairing: &PairingResult,
     config: &AnalysisConfig,
@@ -79,7 +91,7 @@ pub fn detect(
 /// lives in a transitively reachable callee are exonerated — corpus-wide
 /// evidence the ±1 view cannot provide.
 pub fn detect_traced(
-    files: &[std::sync::Arc<FileAnalysis>],
+    files: &[Arc<FileAnalysis>],
     sites: &[BarrierSite],
     pairing: &PairingResult,
     config: &AnalysisConfig,
@@ -93,7 +105,7 @@ pub fn detect_traced(
 }
 
 fn detect_inner(
-    files: &[std::sync::Arc<FileAnalysis>],
+    files: &[Arc<FileAnalysis>],
     sites: &[BarrierSite],
     pairing: &PairingResult,
     config: &AnalysisConfig,
@@ -112,12 +124,32 @@ fn detect_inner(
         return Vec::new();
     }
 
-    let mut readers = collect_readers(files, config);
+    // The engine's analyses always carry their summaries; any other
+    // caller's (e.g. built with `detect_missing` off) are built here.
+    let sets: Vec<Arc<[ReaderSummary]>> = files
+        .iter()
+        .map(|fa| {
+            fa.readers
+                .clone()
+                .unwrap_or_else(|| summarize_source(&fa.name, &fa.source, config, rec))
+        })
+        .collect();
+    let mut readers: Vec<Reader<'_>> = files
+        .iter()
+        .zip(&sets)
+        .flat_map(|(fa, set)| {
+            set.iter().map(|summary| Reader {
+                file: fa.file,
+                file_name: &fa.name,
+                summary,
+            })
+        })
+        .collect();
     if let Some(index) = index {
         // Inter-procedural exoneration: a candidate whose fence lives in
         // a callee within `ipa_depth` call edges is not fence-less.
         let before = readers.len();
-        readers.retain(|r| !index.fence_within(r.file, &r.name, config.ipa_depth));
+        readers.retain(|r| !index.fence_within(r.file, &r.summary.name, config.ipa_depth));
         rec.count(
             "missing_readers_exonerated",
             (before - readers.len()) as u64,
@@ -131,59 +163,88 @@ fn detect_inner(
     out
 }
 
-/// Re-lower every file and summarize its barrier-free functions. The
-/// engine's [`FileAnalysis`] keeps only barrier-window accesses, so the
-/// whole-function view needed here is rebuilt from source (the pass is
-/// opt-in, and parsing dominates neither the paper's nor our runtime).
-fn collect_readers(files: &[std::sync::Arc<FileAnalysis>], config: &AnalysisConfig) -> Vec<Reader> {
+/// Summarize the barrier-free functions of one lowered file (`envs`
+/// aligned with its functions): the whole-function view the detector
+/// needs, which the rest of [`FileAnalysis`] keeps only around barrier
+/// windows. Counted as `missing_reader_files_built`.
+pub(crate) fn summarize(
+    parsed: &ParsedFile,
+    lowered: &LoweredFile<'_>,
+    envs: &[TypeEnv<'_>],
+    config: &AnalysisConfig,
+    rec: &obs::Recorder,
+) -> Arc<[ReaderSummary]> {
+    rec.count("missing_reader_files_built", 1);
     let mut readers = Vec::new();
-    for fa in files {
-        let Ok(parsed) = ckit::parse_string(&fa.name, &fa.source) else {
+    for (fi, cfg) in lowered.cfgs.iter().enumerate() {
+        if function_has_fence(cfg) {
             continue;
-        };
-        let lowered = LoweredFile::lower(&parsed);
-        for (fi, cfg) in lowered.cfgs.iter().enumerate() {
-            if function_has_fence(cfg) {
-                continue;
-            }
-            let env = lowered.env(fi);
-            let mut reads = Vec::new();
-            let mut writes = Vec::new();
-            let mut cond_nodes = Vec::new();
-            for node in cfg.ids() {
-                if matches!(cfg.node(node).kind, NodeKind::Cond(_)) {
-                    cond_nodes.push(node);
-                }
-                for raw in accesses_in_node(&cfg.node(node).kind, &env) {
-                    if config.is_generic_type(&raw.object.strukt) {
-                        continue;
-                    }
-                    match raw.kind {
-                        AccessKind::Read => reads.push(Load {
-                            object: raw.object,
-                            node,
-                            span: raw.span,
-                            line: parsed.map.lookup(raw.span.lo).line,
-                        }),
-                        AccessKind::Write => writes.push(raw.object),
-                    }
-                }
-            }
-            if reads.is_empty() {
-                continue;
-            }
-            readers.push(Reader {
-                file: fa.file,
-                file_name: fa.name.clone(),
-                name: lowered.functions[fi].sig.name.to_string(),
-                reads,
-                writes,
-                cond_nodes,
-                dom: dominators(cfg),
-            });
         }
+        let mut reads = Vec::new();
+        let mut writes: Vec<SharedObject> = Vec::new();
+        let mut cond_nodes = Vec::new();
+        for node in cfg.ids() {
+            if matches!(cfg.node(node).kind, NodeKind::Cond(_)) {
+                cond_nodes.push(node);
+            }
+            for raw in accesses_in_node(&cfg.node(node).kind, &envs[fi]) {
+                if config.is_generic_type(&raw.object.strukt) {
+                    continue;
+                }
+                match raw.kind {
+                    AccessKind::Read => reads.push(Load {
+                        object: raw.object,
+                        node,
+                        span: raw.span,
+                        line: parsed.map.lookup(raw.span.lo).line,
+                    }),
+                    AccessKind::Write if !writes.contains(&raw.object) => writes.push(raw.object),
+                    AccessKind::Write => {}
+                }
+            }
+        }
+        if reads.is_empty() {
+            continue;
+        }
+        let dom = dominators(cfg);
+        let mut guarded = Vec::new();
+        for (gi, g) in reads.iter().enumerate() {
+            if !cond_nodes.contains(&g.node) {
+                continue;
+            }
+            for (pi, p) in reads.iter().enumerate() {
+                if p.node != g.node && dom.dominates(g.node, p.node) {
+                    guarded.push((gi as u32, pi as u32));
+                }
+            }
+        }
+        readers.push(ReaderSummary {
+            name: lowered.functions[fi].sig.name.to_string(),
+            reads: reads.into(),
+            writes: writes.into(),
+            guarded: guarded.into(),
+        });
     }
-    readers
+    readers.into()
+}
+
+/// [`summarize`] from source text, for an analysis that carries no
+/// summaries (built with `detect_missing` off, or loaded from the disk
+/// cache, which does not persist them). An unparseable file has none.
+pub(crate) fn summarize_source(
+    name: &str,
+    source: &str,
+    config: &AnalysisConfig,
+    rec: &obs::Recorder,
+) -> Arc<[ReaderSummary]> {
+    let Ok(parsed) = ckit::parse_string(name, source) else {
+        return Arc::from([]);
+    };
+    let lowered = LoweredFile::lower(&parsed);
+    let envs: Vec<TypeEnv<'_>> = (0..lowered.functions.len())
+        .map(|i| lowered.env(i))
+        .collect();
+    summarize(&parsed, &lowered, &envs, config, rec)
 }
 
 /// Does the function contain any call with fence semantics (explicit
@@ -215,7 +276,7 @@ fn function_has_fence(cfg: &Cfg) -> bool {
 
 fn detect_for_writer(
     writer: &BarrierSite,
-    readers: &[Reader],
+    readers: &[Reader<'_>],
     sites: &[BarrierSite],
     config: &AnalysisConfig,
     out: &mut Vec<Deviation>,
@@ -259,45 +320,42 @@ fn detect_for_writer(
     // Fence-less candidates.
     let mut candidates: Vec<Candidate<'_>> = Vec::new();
     for reader in readers {
-        let guard_reads: Vec<&Load> = reader
-            .reads
-            .iter()
-            .filter(|l| guards.contains(&&l.object))
-            .collect();
-        let payload_reads: Vec<&Load> = reader
-            .reads
-            .iter()
-            .filter(|l| payloads.contains(&&l.object))
-            .collect();
-        if guard_reads.is_empty() || payload_reads.is_empty() {
+        let summary = reader.summary;
+        let loads_any =
+            |objects: &[&SharedObject]| summary.reads.iter().any(|l| objects.contains(&&l.object));
+        // Most readers load no protocol object: reject them before
+        // collecting anything.
+        if !loads_any(&guards) || !loads_any(&payloads) {
             continue;
         }
+        let reads_of = |objects: &[&SharedObject]| -> Vec<usize> {
+            (0..summary.reads.len())
+                .filter(|&i| objects.contains(&&summary.reads[i].object))
+                .collect()
+        };
+        let guard_reads = reads_of(&guards);
+        let payload_reads = reads_of(&payloads);
         // Strict guard→payload shape: a guard load in a branch condition
         // that dominates a payload load — exactly where a fence belongs.
-        let pure = !reader
+        let pure = !summary
             .writes
             .iter()
             .any(|w| guards.contains(&w) || payloads.contains(&w));
-        let mut best: Option<(&Load, &Load)> = None;
+        let mut best: Option<(usize, usize)> = None;
         if pure {
-            'search: for g in &guard_reads {
-                if !reader.cond_nodes.contains(&g.node) {
-                    continue;
-                }
-                for p in &payload_reads {
-                    if p.node != g.node && reader.dom.dominates(g.node, p.node) {
-                        best = Some((*g, *p));
-                        break 'search;
-                    }
-                }
-            }
+            best = guard_reads.iter().find_map(|&g| {
+                payload_reads
+                    .iter()
+                    .find(|&&p| summary.guarded.binary_search(&(g as u32, p as u32)).is_ok())
+                    .map(|&p| (g, p))
+            });
         }
         let strict = best.is_some();
         let (guard, payload) = best.unwrap_or((guard_reads[0], payload_reads[0]));
         candidates.push(Candidate {
             reader,
-            guard,
-            payload,
+            guard: &summary.reads[guard],
+            payload: &summary.reads[payload],
             strict,
         });
     }
@@ -324,8 +382,8 @@ fn detect_for_writer(
             barrier: writer.id,
             site: SiteRef {
                 file: c.reader.file,
-                file_name: c.reader.file_name.clone(),
-                function: c.reader.name.clone(),
+                file_name: c.reader.file_name.to_string(),
+                function: c.reader.summary.name.clone(),
                 node: c.payload.node,
                 span: c.guard.span,
                 line: c.guard.line,
@@ -336,7 +394,7 @@ fn detect_for_writer(
                 "{}() reads {} then {} with no read fence, but {}() in {}() \
                  publishes them in order ({} then barrier then {}); insert \
                  {}() between the loads",
-                c.reader.name,
+                c.reader.summary.name,
                 c.guard.object,
                 c.payload.object,
                 writer.kind.name(),
@@ -400,6 +458,91 @@ int consume(struct box *b) {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// Two parseable files (one with an unfenced reader) and one that
+    /// does not parse.
+    fn summary_corpus() -> Vec<SourceFile> {
+        vec![
+            SourceFile::new("m.c", UNFENCED_READER),
+            SourceFile::new(
+                "q.c",
+                "struct q { int n; };\nint peek(struct q *p) { return p->n; }\n",
+            ),
+            SourceFile::new("broken.c", "int @ garbage"),
+        ]
+    }
+
+    fn built(r: &crate::AnalysisResult) -> u64 {
+        r.obs.count_of("missing_reader_files_built")
+    }
+
+    #[test]
+    fn reader_summaries_built_once_per_file() {
+        let mut files = summary_corpus();
+        let mut engine = Engine::new(config_missing());
+        let cold = engine.analyze(&files);
+        assert_eq!(built(&cold), 2, "every parseable file, once");
+        assert_eq!(missing_of(&cold.deviations).len(), 1);
+        let noop = engine.analyze(&files);
+        assert_eq!(built(&noop), 0, "a no-op run reuses every summary");
+        files[1].content = format!("{}int more(void) {{ return 0; }}\n", files[1].content).into();
+        let edited = engine.analyze(&files);
+        assert_eq!(built(&edited), 1, "only the edited file");
+        assert_eq!(
+            format!("{:?}", edited.deviations),
+            format!("{:?}", cold.deviations)
+        );
+        let off = Engine::new(AnalysisConfig::default()).analyze(&files);
+        assert_eq!(built(&off), 0, "no summaries without --missing");
+        assert!(off.files.iter().all(|fa| fa.readers.is_none()));
+    }
+
+    #[test]
+    fn disk_hydrated_engine_builds_summaries_once() {
+        let dir =
+            std::env::temp_dir().join(format!("ofence-missing-hydrate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let files = summary_corpus();
+        let mut cold = Engine::new(config_missing());
+        let cold_run = cold.analyze(&files);
+        cold.save_disk_cache(&dir).unwrap();
+
+        let mut warm = Engine::new(config_missing());
+        warm.load_disk_cache(&dir);
+        let first = warm.analyze(&files);
+        assert_eq!(first.obs.count_of("engine_files_analyzed"), 0);
+        assert_eq!(built(&first), 2, "disk entries carry no summaries");
+        assert_eq!(
+            format!("{:?}", first.deviations),
+            format!("{:?}", cold_run.deviations)
+        );
+        assert!(first.files.iter().all(|fa| fa.readers.is_some()));
+        assert_eq!(built(&warm.analyze(&files)), 0, "kept in memory");
+        // Summaries are not persisted: building them dirties no shard.
+        warm.save_disk_cache(&dir).unwrap();
+        assert_eq!(warm.last_save().unwrap().shards_written, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn analyses_without_summaries_get_them_from_source() {
+        let config = config_missing();
+        let r = Engine::new(config.clone()).analyze(&summary_corpus());
+        let stripped: Vec<Arc<FileAnalysis>> = r
+            .files
+            .iter()
+            .map(|fa| {
+                Arc::new(FileAnalysis {
+                    readers: None,
+                    ..FileAnalysis::clone(fa)
+                })
+            })
+            .collect();
+        let with = detect(&r.files, &r.sites, &r.pairing, &config);
+        let without = detect(&stripped, &r.sites, &r.pairing, &config);
+        assert_eq!(with.len(), 1);
+        assert_eq!(format!("{with:?}"), format!("{without:?}"));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct Stats {
 /// (such as `watch_iterations`) reach only metrics and traces. A counter the
 /// pipeline records must be listed here or in [`RunStats`]
 /// (`json::tests::report_counters_cover_the_pipeline`).
-pub const REPORT_COUNTERS: [&str; 47] = [
+pub const REPORT_COUNTERS: [&str; 48] = [
     // Front end and extraction, per file (re-)analyzed.
     "ckit_files_parsed",
     "ckit_functions",
@@ -107,6 +107,7 @@ pub const REPORT_COUNTERS: [&str; 47] = [
     "missing_readers_summarized",
     "missing_readers_exonerated",
     "missing_reports_emitted",
+    "missing_reader_files_built",
     // Findings and fixes.
     "suppressed",
     "patches_emitted",

@@ -511,7 +511,7 @@ impl Session {
         let run_span = ctx.rec.open("serve_run");
         let mut engine = self.engine.lock().unwrap_or_else(|e| e.into_inner());
         SessionCounters::bump(&self.counters.queue_dequeued);
-        let result = engine.analyze_incremental(sources);
+        let result = engine.analyze(sources);
         let cache_save = self.opts.cache_dir.as_ref().and_then(|dir| {
             // A full disk is not a failed analysis: the result stands,
             // the next cold start just pays the re-parse.

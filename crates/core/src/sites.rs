@@ -58,7 +58,7 @@ impl FunctionInfo {
 }
 
 /// Analysis result of one file.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FileAnalysis {
     pub file: usize,
     pub name: String,
@@ -72,6 +72,10 @@ pub struct FileAnalysis {
     /// Plain calls observed in each site's exploration window, aligned
     /// with `sites` — consumed by the corpus-global summary composition.
     pub window_calls: Vec<Vec<WindowCall>>,
+    /// The file's barrier-free functions, summarized for the
+    /// missing-barrier detector; built only when `detect_missing` is on
+    /// and never written to the disk cache.
+    pub readers: Option<std::sync::Arc<[crate::missing::ReaderSummary]>>,
 }
 
 /// A barrier call found in a CFG node.
@@ -232,6 +236,11 @@ pub fn analyze_file_traced(
     } else {
         Vec::new()
     };
+    // The missing-barrier detector's per-function evidence: built here,
+    // once per (re-)analyzed file, so the global pass never parses.
+    let readers = config
+        .detect_missing
+        .then(|| crate::missing::summarize(parsed, &lowered, &envs, config, rec));
     // Batched flush: one lock per counter per file, not per site.
     rec.count("extract_barriers_found", sites.len() as u64);
     rec.count("extract_windows_swept", ctr.windows_swept);
@@ -243,7 +252,9 @@ pub fn analyze_file_traced(
     // stubs, matching the shape the disk cache restores for them: every
     // downstream consumer of `functions` (patch, deviation, annotation
     // synthesis) reaches a function only through a barrier site in the
-    // same file, and the missing-barrier detector re-lowers from source.
+    // same file, and the missing-barrier detector reads the `readers`
+    // summarized above (an entry loaded from the disk cache, which does
+    // not store them, is re-lowered once, on the pool, to rebuild them).
     // On a kernel-shaped corpus most files have no barriers, so this
     // drops the bulk of the retained AST/CFG memory and makes cloning a
     // cached analysis cheap.
@@ -273,6 +284,7 @@ pub fn analyze_file_traced(
         parse_error_count: parsed.errors.len(),
         summaries: fn_summaries,
         window_calls,
+        readers,
     }
 }
 

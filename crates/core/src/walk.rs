@@ -3,8 +3,7 @@
 //! Lived in the CLI crate until the analysis server (ROADMAP item 1)
 //! needed the same corpus walking from inside `core`: the daemon
 //! re-collects its watched paths on every request to snapshot the
-//! corpus, so the walker has to be shared, not duplicated. The CLI's
-//! `walk` module re-exports from here.
+//! corpus, so the walker has to be shared, not duplicated.
 
 use crate::engine::SourceFile;
 use std::path::Path;
@@ -74,6 +73,7 @@ mod tests {
         std::fs::write(dir.join("a.c"), "int a;").unwrap();
         std::fs::write(dir.join("sub/c.c"), "int c;").unwrap();
         std::fs::write(dir.join("not-c.txt"), "skip").unwrap();
+        std::fs::write(dir.join("header.h"), "int h;").unwrap();
         let sources = collect_sources(&[dir.display().to_string()]).unwrap();
         let names: Vec<&str> = sources.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names.len(), 3);
@@ -87,6 +87,16 @@ mod tests {
     fn missing_path_is_an_error() {
         let err = collect_sources(&["/no/such/path".to_string()]).unwrap_err();
         assert!(err.contains("no such file"), "{err}");
+    }
+
+    #[test]
+    fn explicit_file_any_extension() {
+        let dir = tempdir("file");
+        let p = dir.join("x.inc");
+        std::fs::write(&p, "int x;").unwrap();
+        let sources = collect_sources(&[p.display().to_string()]).unwrap();
+        assert_eq!(sources.len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

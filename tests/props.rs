@@ -260,7 +260,7 @@ proptest! {
         let idx = touch % files.len();
         files[idx].content =
             format!("{}\nint prop_added(void) {{ return 1; }}\n", files[idx].content).into();
-        let incremental = engine.analyze_incremental(&files);
+        let incremental = engine.analyze(&files);
         let fresh = Engine::new(AnalysisConfig::default()).analyze(&files);
         prop_assert_eq!(result_fingerprint(&incremental), result_fingerprint(&fresh));
     }
@@ -337,7 +337,7 @@ proptest! {
     /// the cache hits every file and reports what a cold run reports.
     #[test]
     fn dirty_saves_match_cold_runs(spec in arb_spec(), ops in proptest::collection::vec((0usize..3, any::<u64>()), 1..5)) {
-        dirty_saves_match_cold(spec, &ops, 0)?;
+        dirty_saves_match_cold(spec, &ops, AnalysisConfig::default())?;
     }
 
     /// The same at `--ipa-depth 2`, whose cache entries carry function
@@ -345,25 +345,40 @@ proptest! {
     #[test]
     fn dirty_saves_match_cold_runs_with_ipa(spec in arb_spec(), ops in proptest::collection::vec((0usize..3, any::<u64>()), 1..5)) {
         let spec = CorpusSpec { cross_file_chains: 2, ..spec };
-        dirty_saves_match_cold(spec, &ops, 2)?;
+        let config = AnalysisConfig { ipa_depth: 2, ..Default::default() };
+        dirty_saves_match_cold(spec, &ops, config)?;
+    }
+
+    /// The same with the missing-barrier detector on, over corpora with
+    /// unfenced decoys and injected missing-barrier bugs: the long-lived
+    /// engine keeps reader summaries in memory and updates them itself,
+    /// a fresh engine over the cache builds them lazily, and both agree
+    /// with a cold run.
+    #[test]
+    fn dirty_saves_match_cold_runs_with_missing(spec in arb_spec(), missing in 1usize..3, ops in proptest::collection::vec((0usize..3, any::<u64>()), 1..5)) {
+        let spec = CorpusSpec {
+            cross_file_chains: 2,
+            unfenced_decoys: spec.unfenced_decoys.max(1),
+            bugs: BugPlan { missing_barrier: missing, ..spec.bugs },
+            ..spec
+        };
+        let config = AnalysisConfig { ipa_depth: 2, detect_missing: true, ..Default::default() };
+        dirty_saves_match_cold(spec, &ops, config)?;
     }
 }
 
 /// Apply `ops` (0 = edit, 1 = add, 2 = delete; each with a seed) to the
 /// corpus of `spec`, saving a long-lived engine's cache after each step,
-/// and check a fresh engine over that cache against a cold run.
+/// and check both that engine and a fresh engine over its cache against
+/// a cold run.
 fn dirty_saves_match_cold(
     spec: CorpusSpec,
     ops: &[(usize, u64)],
-    ipa_depth: u32,
+    config: AnalysisConfig,
 ) -> Result<(), TestCaseError> {
     static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-    let config = AnalysisConfig {
-        ipa_depth,
-        ..Default::default()
-    };
     let dir = std::env::temp_dir().join(format!(
-        "ofence-prop-dirty-{}-{ipa_depth}-{}",
+        "ofence-prop-dirty-{}-{}",
         std::process::id(),
         CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
@@ -391,7 +406,7 @@ fn dirty_saves_match_cold(
             _ => {}
         }
         let files = sources_of(&corpus);
-        live.analyze(&files);
+        let live_run = live.analyze(&files);
         live.save_disk_cache(&dir).expect("save cache");
 
         let mut warm = Engine::new(config.clone());
@@ -416,6 +431,29 @@ fn dirty_saves_match_cold(
             op
         );
         let cold_run = Engine::new(config.clone()).analyze(&files);
+        for run in [&live_run, &warm_run, &cold_run] {
+            prop_assert!(
+                run.files
+                    .iter()
+                    .all(|fa| fa.readers.is_some() == config.detect_missing),
+                "step {}: engine results carry reader summaries iff --missing",
+                step
+            );
+        }
+        prop_assert_eq!(
+            result_fingerprint(&live_run),
+            result_fingerprint(&cold_run),
+            "step {} (op {}): long-lived engine differs from cold",
+            step,
+            op
+        );
+        prop_assert_eq!(
+            result_fingerprint(&warm_run),
+            result_fingerprint(&cold_run),
+            "step {} (op {}): cache-loaded engine differs from cold",
+            step,
+            op
+        );
         let (warm_doc, cold_doc) = (semantic_json(&warm_run), semantic_json(&cold_run));
         prop_assert!(
             warm_doc == cold_doc,

@@ -936,3 +936,63 @@ fn trace_round_trips_from_wire_to_debug_routes_to_cli() {
 
     daemon.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// A reader that closes its end of the stdout pipe early (`… | head`).
+// ---------------------------------------------------------------------------
+
+/// Run `ofence <args>` with its stdout pipe closed before it writes: the
+/// CLI must exit quietly, not panic with "failed printing to stdout".
+fn assert_exits_cleanly_on_closed_stdout(args: &[&str]) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ofence"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ofence");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for ofence");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(
+        out.status.code(),
+        Some(101),
+        "ofence {args:?} panicked: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "ofence {args:?}: {stderr}");
+    assert!(
+        out.status.success(),
+        "ofence {args:?}: {:?} {stderr}",
+        out.status
+    );
+}
+
+#[test]
+fn closed_stdout_pipe_ends_the_cli_without_a_panic() {
+    let corpus_dir = temp_dir("pipe-corpus");
+    let cache_dir = temp_dir("pipe-cache");
+    let history_dir = temp_dir("pipe-history");
+    let mut spec = CorpusSpec::small(3);
+    spec.bugs.misplaced = 1;
+    write_corpus(&corpus_dir, &generate(&spec));
+    let corpus_path = corpus_dir.display().to_string();
+    for json in [true, false] {
+        let mut args = vec![
+            "analyze",
+            &corpus_path,
+            "--fail-on",
+            "none",
+            "--no-cache",
+            "--no-history",
+        ];
+        if json {
+            args.push("--json");
+        }
+        assert_exits_cleanly_on_closed_stdout(&args);
+    }
+
+    let mut daemon = Daemon::spawn(&corpus_dir, &cache_dir, &history_dir);
+    let addr = daemon.addr.clone();
+    assert_exits_cleanly_on_closed_stdout(&["call", &addr, "analyze"]);
+    assert_exits_cleanly_on_closed_stdout(&["call", &addr, "ping"]);
+    daemon.shutdown();
+}

@@ -195,7 +195,7 @@ fn concurrent_scrape_during_reanalysis_never_tears() {
             while !stop.load(Ordering::Relaxed) {
                 iterations += 1;
                 engine.queue_count("watch_iterations", iterations);
-                let result = engine.analyze_incremental(&sources);
+                let result = engine.analyze(&sources);
                 live.publish(&result.obs, result.deviations.len() as u64, 1000);
             }
             iterations
